@@ -35,8 +35,11 @@
 # 15. throughput gate: exp_scale re-runs the pinned bench scenario and
 #    diffs BENCH_scale.json — virtual fields (event count, makespan,
 #    hit rate) must match exactly; host fields (events/sec, wall, RSS)
-#    get a wide band that only catches algorithmic collapses.
-#    REGEN_BENCH=1 regenerates this baseline too.
+#    get a wide band that only catches algorithmic collapses. The
+#    content-addressed shared-prefix preset (the only one that reaches
+#    the block ledger's victim picks) is diffed against
+#    BENCH_scale_shared.json the same way.
+#    REGEN_BENCH=1 regenerates these baselines too.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -175,13 +178,16 @@ else
         --baseline BENCH_profile.json >/dev/null
 fi
 
-echo "==> throughput gate (exp_scale vs BENCH_scale.json)"
+echo "==> throughput gate (exp_scale vs BENCH_scale.json, BENCH_scale_shared.json)"
 if [[ "${REGEN_BENCH:-0}" == "1" ]]; then
     ./target/release/exp_scale --out BENCH_scale.json >/dev/null
-    echo "regenerated BENCH_scale.json — review and commit the diff"
+    ./target/release/exp_scale --shared-prefix --out BENCH_scale_shared.json >/dev/null
+    echo "regenerated BENCH_scale.json and BENCH_scale_shared.json — review and commit the diff"
 else
     ./target/release/exp_scale --out "$SMOKE_DIR/scale.json" \
         --baseline BENCH_scale.json >/dev/null
+    ./target/release/exp_scale --shared-prefix --out "$SMOKE_DIR/scale_shared.json" \
+        --baseline BENCH_scale_shared.json >/dev/null
 fi
 
 echo "CI green."

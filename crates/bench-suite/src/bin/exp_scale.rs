@@ -4,6 +4,8 @@
 //! exp_scale                      # CI bench preset (~4K sessions, seconds)
 //!           --full               # acceptance scale: 100K sessions, 8
 //!                                # instances, diurnal arrivals (minutes)
+//!           --shared-prefix      # CI content-addressed preset: shared
+//!                                # system prompts under block keying
 //!           --sessions N         # override session count
 //!           --instances N        # override instance count
 //!           --rate F             # override mean arrival rate (/sec)
@@ -48,6 +50,8 @@ fn has_flag(flag: &str) -> bool {
 fn main() {
     let mut opts = if has_flag("--full") {
         ScaleOpts::full()
+    } else if has_flag("--shared-prefix") {
+        ScaleOpts::shared_prefix_bench()
     } else {
         ScaleOpts::bench()
     };

@@ -20,16 +20,19 @@
 //!   without flaking on machine-to-machine noise.
 //!
 //! `ci.sh` runs the [`ScaleOpts::bench`] scenario and diffs it against
-//! the checked-in `BENCH_scale.json`; regenerate with
+//! the checked-in `BENCH_scale.json`, and the
+//! [`ScaleOpts::shared_prefix_bench`] scenario against
+//! `BENCH_scale_shared.json`; regenerate both with
 //! `REGEN_BENCH=1 ./ci.sh` after intentional changes.
 
 use engine::{run_cluster, ClusterConfig, ClusterReport, EngineConfig, Mode, RouterKind};
 use models::ModelSpec;
 use serde::{Serialize, Value};
 use sim::{profiler, ProfilerConfig, SelfProfile};
-use workload::{Diurnal, Generator, ShareGptProfile, Trace};
+use store::KeyingMode;
+use workload::{Diurnal, Generator, PrefixProfile, PrefixScenario, ShareGptProfile, Trace};
 
-use crate::DEFAULT_SEED;
+use crate::{scaled_config, Scale, DEFAULT_SEED};
 
 /// Version of the `BENCH_scale.json` layout. Bump when fields are
 /// added, removed or renamed; the compare step refuses cross-schema
@@ -58,6 +61,9 @@ pub struct ScaleOpts {
     pub diurnal: Option<Diurnal>,
     /// Heartbeat period for the stderr progress line (`None` = quiet).
     pub heartbeat_secs: Option<f64>,
+    /// Prefix sharing stamped on the trace. `Some` runs the store under
+    /// content-addressed block keying (see [`scale_config`]).
+    pub prefix: Option<PrefixScenario>,
 }
 
 impl ScaleOpts {
@@ -72,6 +78,7 @@ impl ScaleOpts {
             arrival_rate: 1.5,
             diurnal: Some(Diurnal::default()),
             heartbeat_secs: Some(10.0),
+            prefix: None,
         }
     }
 
@@ -85,6 +92,29 @@ impl ScaleOpts {
             arrival_rate: 1.0,
             diurnal: Some(Diurnal::default()),
             heartbeat_secs: None,
+            prefix: None,
+        }
+    }
+
+    /// The content-addressed gate scenario: 1K sessions drawn from four
+    /// 1K-token system prompts on 4 instances at half their capacity,
+    /// under eviction pressure. Every save, consult and prefetch goes
+    /// through the block ledger's victim picks, which [`bench`]
+    /// (per-session keying) never reaches. This is the config
+    /// `BENCH_scale_shared.json` pins.
+    ///
+    /// [`bench`]: ScaleOpts::bench
+    pub fn shared_prefix_bench() -> Self {
+        ScaleOpts {
+            sessions: 1_000,
+            instances: 4,
+            arrival_rate: 0.42,
+            diurnal: None,
+            heartbeat_secs: None,
+            prefix: Some(PrefixScenario::SharedSystemPrompt {
+                pools: 4,
+                prompt_tokens: 1024,
+            }),
         }
     }
 }
@@ -120,7 +150,21 @@ pub fn working_set_sessions(opts: &ScaleOpts) -> f64 {
 /// that exceeds the paper's 9K-session baseline. Total sessions don't
 /// matter: a fleet serving a million conversations a day still only
 /// holds a few hours' worth of KV at once.
+///
+/// A run with a [`ScaleOpts::prefix`] scenario instead keeps the
+/// experiments' scale-proportional store under content-addressed keying,
+/// without a TTL: it exists to time the block ledger under eviction
+/// pressure.
 pub fn scale_config(opts: &ScaleOpts) -> ClusterConfig {
+    if opts.prefix.is_some() {
+        let scale = Scale {
+            sessions: opts.sessions,
+            warmup_turns: 0,
+        };
+        let mut engine = scaled_config(Mode::CachedAttention, ModelSpec::llama2_13b(), scale);
+        engine.store.keying = KeyingMode::ContentAddressed;
+        return ClusterConfig::new(engine, opts.instances, RouterKind::SessionAffinity);
+    }
     let f = (working_set_sessions(opts) / 9_000.0).max(1.0);
     let mut engine = EngineConfig::paper(Mode::CachedAttention, ModelSpec::llama2_13b());
     engine.store.ttl = Some(sim::Dur::from_secs_f64(SCALE_TTL_SECS));
@@ -136,13 +180,17 @@ pub fn scale_config(opts: &ScaleOpts) -> ClusterConfig {
 }
 
 /// Builds the scale trace: the ShareGPT profile under `arrival_rate`,
-/// optionally diurnally modulated, at the canonical seed.
+/// optionally diurnally modulated and stamped with a prefix scenario, at
+/// the canonical seed.
 pub fn scale_trace(opts: &ScaleOpts) -> Trace {
     let mut profile = ShareGptProfile::default().with_arrival_rate(opts.arrival_rate);
     if let Some(d) = &opts.diurnal {
         profile = profile.with_diurnal(d.clone());
     }
-    Generator::new(profile, DEFAULT_SEED).trace(opts.sessions)
+    match opts.prefix {
+        Some(scenario) => PrefixProfile::new(profile, scenario).trace(DEFAULT_SEED, opts.sessions),
+        None => Generator::new(profile, DEFAULT_SEED).trace(opts.sessions),
+    }
 }
 
 /// A completed scale run: the cluster report plus the host-time
@@ -397,6 +445,7 @@ mod tests {
             arrival_rate: 2.0,
             diurnal: Some(Diurnal::default()),
             heartbeat_secs: None,
+            prefix: None,
         }
     }
 

@@ -489,12 +489,13 @@ impl AttentionStore {
         let mut transfers = Vec::new();
         let mark = self.trace_mark();
         if self.cfg.keying == crate::KeyingMode::ContentAddressed {
+            let mut ws = super::shared::WorkingSet::new(queue);
             while self.dram_used_bytes() > target {
                 if self.ca_free_dead_in(now, crate::TierId(0)) {
                     continue;
                 }
                 let acting = SessionId(u64::MAX);
-                if !self.ca_demote_one(now, crate::TierId(0), acting, queue, &mut transfers) {
+                if !self.ca_demote_one(now, crate::TierId(0), acting, &mut ws, &mut transfers) {
                     break;
                 }
             }

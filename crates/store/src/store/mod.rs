@@ -14,7 +14,9 @@
 //! - [`fetch`]: the per-session read/write paths — save, demand fetch
 //!   and the scheduler-aware look-ahead prefetcher;
 //! - [`shared`]: the content-addressed block ledger — chunk chains,
-//!   prefix-trie lookup, copy-on-divergence and refcounted eviction.
+//!   prefix-trie lookup, copy-on-divergence and refcounted eviction;
+//! - [`ledger`]: the ledger's state and its per-tier victim orders,
+//!   behind the one mutation path that keeps them exact.
 //!
 //! Every public operation dispatches on the configured keying mode at
 //! its entry point; the per-session paths are the original code,
@@ -23,6 +25,7 @@
 
 mod faults;
 mod fetch;
+mod ledger;
 mod placement;
 mod shared;
 #[cfg(test)]
@@ -258,7 +261,7 @@ pub struct AttentionStore {
     entries: BTreeMap<SessionId, Entry>,
     /// The content-addressed block ledger (empty and inert under
     /// per-session keying).
-    shared: shared::BlockLedger,
+    shared: ledger::BlockLedger,
     next_seq: u64,
     stats: StoreStats,
     /// Drainable event buffer; `None` = tracing off (zero cost).
@@ -282,13 +285,13 @@ impl AttentionStore {
             .tiers
             .iter()
             .map(|t| BlockPool::new(t.name, t.capacity, cfg.block_bytes))
-            .collect();
+            .collect::<Vec<_>>();
         AttentionStore {
+            shared: ledger::BlockLedger::new(pools.len()),
             cfg,
             policy,
             pools,
             entries: BTreeMap::new(),
-            shared: shared::BlockLedger::default(),
             next_seq: 0,
             stats: StoreStats::default(),
             trace: None,

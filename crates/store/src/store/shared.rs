@@ -25,13 +25,14 @@
 //!   equivalent of per-session eviction, reported with the same
 //!   `evicted` event).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashSet;
+use std::rc::Rc;
 
 use sim::Time;
 
 use crate::chain::{ContentKey, DedupStats};
 use crate::events::{FetchKind, StoreEvent};
-use crate::{BlockId, QueueView, SessionId, TierId};
+use crate::{QueueView, SessionId, TierId};
 
 use super::{AttentionStore, Lookup, Transfer};
 
@@ -60,83 +61,24 @@ impl PrefixMatch {
     }
 }
 
-/// One stored chunk of KV, shared by every chain that references it.
-pub(super) struct ChunkNode {
-    chain_hash: u64,
-    tokens: u64,
-    bytes: u64,
-    placement: TierId,
-    blocks: Vec<BlockId>,
-    /// Saved chains referencing this node.
-    refs: u64,
-    /// In-flight consults holding this node (exempt from movement).
-    pins: u64,
-    last_access: Time,
-    insert_seq: u64,
-    /// Last session to save or match this node; used to attribute tier
-    /// transfers when the node itself moves.
-    owner_hint: SessionId,
+/// The look-ahead state of one store call: the queue it was made with,
+/// plus the working sets derived from it (which slots the sessions at
+/// the queue head will read, [`AttentionStore::ca_queued_slots`]). Each
+/// set is built at most once per window length and ledger epoch, and
+/// the whole struct lives no longer than the call, so a set never
+/// describes another call's queue.
+pub(super) struct WorkingSet<'q> {
+    queue: &'q QueueView,
+    /// `(window, ledger epoch, slots)`.
+    queued: Vec<(usize, u64, Rc<HashSet<usize>>)>,
 }
 
-/// One session's view of the ledger: an ordered chain of node slots.
-pub(super) struct SessionRef {
-    chain: Vec<usize>,
-    tokens: u64,
-    bytes: u64,
-    key: ContentKey,
-    last_access: Time,
-    insert_seq: u64,
-}
-
-/// The shared-block side of the store (empty and inert in per-session
-/// mode).
-#[derive(Default)]
-pub(super) struct BlockLedger {
-    /// Slab of nodes; `None` slots are free for reuse.
-    nodes: Vec<Option<ChunkNode>>,
-    free_slots: Vec<usize>,
-    /// chain hash → slot: the prefix trie.
-    by_hash: HashMap<u64, usize>,
-    sessions: BTreeMap<SessionId, SessionRef>,
-    /// Content keys registered before a session's first save.
-    keys: BTreeMap<SessionId, ContentKey>,
-    /// Chains pinned by in-flight consults.
-    pinned: BTreeMap<SessionId, Vec<usize>>,
-    next_seq: u64,
-    pub(super) dedup: DedupStats,
-}
-
-impl BlockLedger {
-    fn node(&self, slot: usize) -> &ChunkNode {
-        self.nodes[slot].as_ref().expect("slot is live")
-    }
-
-    fn node_mut(&mut self, slot: usize) -> &mut ChunkNode {
-        self.nodes[slot].as_mut().expect("slot is live")
-    }
-
-    fn insert_node(&mut self, node: ChunkNode) -> usize {
-        let hash = node.chain_hash;
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                self.nodes[s] = Some(node);
-                s
-            }
-            None => {
-                self.nodes.push(Some(node));
-                self.nodes.len() - 1
-            }
-        };
-        self.by_hash.insert(hash, slot);
-        slot
-    }
-
-    /// Live slots, ascending (deterministic iteration order).
-    fn live_slots(&self) -> impl Iterator<Item = usize> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, n)| n.as_ref().map(|_| i))
+impl<'q> WorkingSet<'q> {
+    pub(super) fn new(queue: &'q QueueView) -> Self {
+        WorkingSet {
+            queue,
+            queued: Vec::new(),
+        }
     }
 }
 
@@ -146,8 +88,8 @@ impl AttentionStore {
     /// before the session's first save; later calls are ignored once a
     /// chain exists (the key travels with the chain from then on).
     pub fn register_content(&mut self, sid: SessionId, key: ContentKey) {
-        if !self.shared.sessions.contains_key(&sid) {
-            self.shared.keys.insert(sid, key);
+        if self.shared.session(sid).is_none() {
+            self.shared.set_key(sid, key);
         }
     }
 
@@ -157,13 +99,11 @@ impl AttentionStore {
     }
 
     fn ca_key(&self, sid: SessionId) -> ContentKey {
-        if let Some(r) = self.shared.sessions.get(&sid) {
+        if let Some(r) = self.shared.session(sid) {
             return r.key;
         }
         self.shared
-            .keys
-            .get(&sid)
-            .copied()
+            .registered_key(sid)
             .unwrap_or_else(|| ContentKey::private(sid.0))
     }
 
@@ -176,10 +116,19 @@ impl AttentionStore {
         at(start + n) - at(start)
     }
 
+    /// The slots of `key`'s shared span that resolve in the trie, up to
+    /// the first miss.
+    pub(super) fn ca_shared_prefix(&self, key: ContentKey) -> Vec<usize> {
+        key.chain(key.shared_tokens, self.cfg.block_tokens)
+            .iter()
+            .map_while(|ck| self.shared.slot_of(ck.chain_hash))
+            .collect()
+    }
+
     // ---- lookup / accessors -------------------------------------------
 
     pub(super) fn ca_lookup(&self, sid: SessionId) -> Lookup {
-        match self.shared.sessions.get(&sid) {
+        match self.shared.session(sid) {
             Some(r) if !r.chain.is_empty() => {
                 let deepest = r
                     .chain
@@ -194,11 +143,11 @@ impl AttentionStore {
     }
 
     pub(super) fn ca_tokens(&self, sid: SessionId) -> Option<u64> {
-        self.shared.sessions.get(&sid).map(|r| r.tokens)
+        self.shared.session(sid).map(|r| r.tokens)
     }
 
     pub(super) fn ca_len(&self) -> usize {
-        self.shared.sessions.len()
+        self.shared.session_count()
     }
 
     /// `S_kv` under block keying: block size × observed chain length,
@@ -207,92 +156,128 @@ impl AttentionStore {
     /// (the ledger never populates `entries`), collapsing `L_pw`/`L_ev`
     /// to fixed constants.
     pub(super) fn ca_avg_session_bytes(&self) -> u64 {
-        let n = self.shared.sessions.len() as u64;
+        let n = self.shared.session_count() as u64;
         if n == 0 {
             return self.cfg.default_session_bytes.max(1);
         }
-        let total: u64 = self.shared.sessions.values().map(|r| r.bytes).sum();
-        (total / n).max(1)
+        (self.shared.session_bytes() / n).max(1)
+    }
+
+    // ---- victim picks -------------------------------------------------
+    //
+    // Each pick is the first node of a tier's victim order that passes
+    // its filter — the node a full `min_by_key` scan of the slab would
+    // choose, since the order's keys are unique.
+
+    /// The least-recently-used dead node (refs == 0, pins == 0) of
+    /// `tier`: the refcounted-eviction victim.
+    pub(super) fn ca_dead_victim(&self, tier: TierId) -> Option<usize> {
+        self.shared.dead_lru(tier).next()
+    }
+
+    /// The least-recently-used unpinned node of `tier`: the reserve's
+    /// victim.
+    pub(super) fn ca_lru_unpinned(&self, tier: TierId) -> Option<usize> {
+        self.shared
+            .lru(tier)
+            .find(|&s| self.shared.node(s).pins == 0)
+    }
+
+    /// The demotion victim of `tier`: the least-recently-used unpinned
+    /// node that no session inside the look-ahead eviction window will
+    /// read — via its stored chain (owner_hint in-window) or its
+    /// registered key resolving here on a first turn. Only when every
+    /// unpinned node is such an imminent block does the plain LRU one
+    /// go.
+    pub(super) fn ca_demote_victim(&self, tier: TierId, ws: &mut WorkingSet) -> Option<usize> {
+        let window = self.eviction_window();
+        let needed = self.ca_queued_slots(ws, window);
+        let soon = |s: usize| {
+            let n = self.shared.node(s);
+            ws.queue.position(n.owner_hint).is_some_and(|p| p < window) || needed.contains(&s)
+        };
+        let mut unpinned = self
+            .shared
+            .lru(tier)
+            .filter(|&s| self.shared.node(s).pins == 0);
+        let first = unpinned.next()?;
+        if !soon(first) {
+            return Some(first);
+        }
+        Some(unpinned.find(|&s| !soon(s)).unwrap_or(first))
+    }
+
+    /// The victim demoted to stage target `sid` (queued at `pos`): the
+    /// least-recently-used unpinned tier-0 node outside the protected
+    /// working set (`queued` plus the target's own `chain`) whose last
+    /// accessor is neither the target nor queued at or before it.
+    pub(super) fn ca_prefetch_victim(
+        &self,
+        sid: SessionId,
+        pos: usize,
+        queue: &QueueView,
+        queued: &HashSet<usize>,
+        chain: &[usize],
+    ) -> Option<usize> {
+        self.shared.lru(TierId(0)).find(|&s| {
+            let n = self.shared.node(s);
+            n.pins == 0
+                && n.owner_hint != sid
+                && !queued.contains(&s)
+                && !chain.contains(&s)
+                && queue.position(n.owner_hint).is_none_or(|p| p > pos)
+        })
     }
 
     // ---- room making / refcounted eviction ----------------------------
 
-    /// Frees the least-recently-used dead node (refs == 0, pins == 0) of
-    /// `tier` out of the system — the refcounted eviction path. Returns
-    /// `false` when the tier has no dead node.
-    pub(super) fn ca_free_dead_in(&mut self, now: Time, tier: TierId) -> bool {
-        let victim = self
-            .shared
-            .live_slots()
-            .filter(|&s| {
-                let n = self.shared.node(s);
-                n.placement == tier && n.refs == 0 && n.pins == 0
-            })
-            .min_by_key(|&s| {
-                let n = self.shared.node(s);
-                (n.last_access, n.insert_seq)
-            });
-        let Some(slot) = victim else {
-            return false;
-        };
-        let node = self.shared.nodes[slot].take().expect("victim is live");
-        self.shared.by_hash.remove(&node.chain_hash);
-        self.shared.free_slots.push(slot);
-        self.pools[tier.0]
+    /// Frees dead node `slot` out of the system — the refcounted
+    /// eviction path.
+    fn ca_reclaim(&mut self, now: Time, slot: usize) {
+        let node = self.shared.remove_node(slot);
+        self.pools[node.placement.0]
             .free(&node.blocks)
             .expect("node blocks are valid");
         self.shared.dedup.refcounted_evictions += 1;
         self.emit(StoreEvent::BlockEvicted {
             blocks: node.blocks.len() as u64,
             bytes: node.bytes,
-            tier,
+            tier: node.placement,
             refs: 0,
             at: now,
         });
+    }
+
+    /// Frees the least-recently-used dead node of `tier`. Returns
+    /// `false` when the tier has no dead node.
+    pub(super) fn ca_free_dead_in(&mut self, now: Time, tier: TierId) -> bool {
+        let Some(slot) = self.ca_dead_victim(tier) else {
+            return false;
+        };
+        self.ca_reclaim(now, slot);
         true
     }
 
-    /// Demotes the least-recently-used unpinned node of `tier` one hop
-    /// down (making room below as needed), preferring nodes no session
-    /// inside the look-ahead eviction window maps to — the
-    /// scheduler-aware victim order of §3.3.2 at block granularity.
-    /// Returns `false` when no node is movable.
+    /// Demotes `tier`'s [demotion victim](Self::ca_demote_victim) one
+    /// hop down (making room below as needed) — the scheduler-aware
+    /// victim order of §3.3.2 at block granularity. Returns `false` when
+    /// no node is movable.
     pub(super) fn ca_demote_one(
         &mut self,
         now: Time,
         tier: TierId,
         acting: SessionId,
-        queue: &QueueView,
+        ws: &mut WorkingSet,
         out: &mut Vec<Transfer>,
     ) -> bool {
         debug_assert!(
             tier != self.bottom_tier(),
             "bottom tier evicts, not demotes"
         );
-        let window = self.eviction_window();
-        let needed = self.ca_queued_slots(queue, window);
-        let victim = self
-            .shared
-            .live_slots()
-            .filter(|&s| {
-                let n = self.shared.node(s);
-                n.placement == tier && n.pins == 0
-            })
-            .min_by_key(|&s| {
-                let n = self.shared.node(s);
-                // `false < true`: blocks an imminent session will read —
-                // via its stored chain (owner_hint in-window) or its
-                // registered key resolving here on a first turn — sort
-                // last, demoted only when nothing colder remains; among
-                // the rest, plain LRU.
-                let soon =
-                    queue.position(n.owner_hint).is_some_and(|p| p < window) || needed.contains(&s);
-                (soon, n.last_access, n.insert_seq)
-            });
-        let Some(slot) = victim else {
+        let Some(slot) = self.ca_demote_victim(tier, ws) else {
             return false;
         };
-        self.ca_demote_slot(now, slot, acting, queue, out)
+        self.ca_demote_slot(now, slot, acting, ws, out)
     }
 
     /// Demotes one specific node one hop down (making room below as
@@ -302,7 +287,7 @@ impl AttentionStore {
         now: Time,
         slot: usize,
         acting: SessionId,
-        queue: &QueueView,
+        ws: &mut WorkingSet,
         out: &mut Vec<Transfer>,
     ) -> bool {
         let (bytes, from) = {
@@ -310,14 +295,14 @@ impl AttentionStore {
             (n.bytes, n.placement)
         };
         let to = from.below();
-        if !self.ca_make_room_in(now, to, bytes, acting, queue, out) {
+        if !self.ca_make_room_in(now, to, bytes, acting, ws, out) {
             return false;
         }
         let new_blocks = self.pools[to.0].alloc(bytes).expect("room made above");
-        let node = self.shared.node_mut(slot);
-        let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-        node.placement = to;
-        let mover = node.owner_hint;
+        let (old_blocks, mover) = self.shared.update(slot, |n| {
+            n.placement = to;
+            (std::mem::replace(&mut n.blocks, new_blocks), n.owner_hint)
+        });
         self.pools[from.0]
             .free(&old_blocks)
             .expect("blocks were in the source tier");
@@ -342,17 +327,21 @@ impl AttentionStore {
     /// Releases the least-recently-used unpinned session's whole chain —
     /// the fallback when the bottom tier holds only referenced blocks.
     /// Sessions outside the look-ahead eviction window are preferred.
-    fn ca_release_lru_session(&mut self, now: Time, queue: &QueueView) -> bool {
+    /// The `acting` session is never released: its own operation (a
+    /// save replacing its chain, a prefetch staging it) still holds the
+    /// chain, and releasing it mid-way would free nodes it goes on to
+    /// use.
+    fn ca_release_lru_session(&mut self, now: Time, acting: SessionId, ws: &WorkingSet) -> bool {
         let window = self.eviction_window();
+        let queue = ws.queue;
         let cands: Vec<SessionId> = self
             .shared
-            .sessions
-            .keys()
-            .filter(|sid| !self.shared.pinned.contains_key(sid))
-            .copied()
+            .sessions()
+            .map(|(sid, _)| sid)
+            .filter(|sid| *sid != acting && !self.shared.pinned.contains_key(sid))
             .collect();
         let order = |sid: &SessionId| {
-            let r = &self.shared.sessions[sid];
+            let r = self.shared.session(*sid).expect("candidate exists");
             (r.last_access, r.insert_seq)
         };
         let victim = cands
@@ -364,11 +353,8 @@ impl AttentionStore {
         let Some(sid) = victim else {
             return false;
         };
-        let r = self.shared.sessions.remove(&sid).expect("victim exists");
-        for &slot in &r.chain {
-            let n = self.shared.node_mut(slot);
-            n.refs = n.refs.saturating_sub(1);
-        }
+        let r = self.shared.remove_session(sid).expect("victim exists");
+        self.shared.release(&r.chain);
         self.stats.drops_capacity += 1;
         self.shared.dedup.session_releases += 1;
         self.emit(StoreEvent::Evicted {
@@ -393,7 +379,7 @@ impl AttentionStore {
         tier: TierId,
         bytes: u64,
         acting: SessionId,
-        queue: &QueueView,
+        ws: &mut WorkingSet,
         out: &mut Vec<Transfer>,
     ) -> bool {
         let pool = &self.pools[tier.0];
@@ -405,9 +391,9 @@ impl AttentionStore {
                 continue;
             }
             let progressed = if tier == self.bottom_tier() {
-                self.ca_release_lru_session(now, queue)
+                self.ca_release_lru_session(now, acting, ws)
             } else {
-                self.ca_demote_one(now, tier, acting, queue, out)
+                self.ca_demote_one(now, tier, acting, ws, out)
             };
             if !progressed {
                 return false;
@@ -431,6 +417,7 @@ impl AttentionStore {
         // entry), or the session would block prefetch and demotion for
         // its whole think time.
         self.ca_unpin(sid);
+        let mut ws = WorkingSet::new(queue);
         let mut transfers = Vec::new();
         let mark = self.trace_mark();
         let key = self.ca_key(sid);
@@ -441,8 +428,7 @@ impl AttentionStore {
         // more is copy-on-divergence.
         let old: Vec<usize> = self
             .shared
-            .sessions
-            .get(&sid)
+            .session(sid)
             .map(|r| r.chain.clone())
             .unwrap_or_default();
         let common = old
@@ -454,10 +440,7 @@ impl AttentionStore {
         if released > 0 {
             let old_tail_partial =
                 self.shared.node(old[old.len() - 1]).tokens < self.cfg.block_tokens;
-            for &slot in &old[common..] {
-                let n = self.shared.node_mut(slot);
-                n.refs = n.refs.saturating_sub(1);
-            }
+            self.shared.release(&old[common..]);
             let grew = released == 1 && common == old.len() - 1 && old_tail_partial;
             if !grew {
                 self.shared.dedup.divergences += 1;
@@ -470,13 +453,12 @@ impl AttentionStore {
             }
         }
 
-        let chain: Vec<usize> = old[..common].to_vec();
+        let mut chain: Vec<usize> = old[..common].to_vec();
         let mut covered_tokens: u64 = desired[..common].iter().map(|c| c.tokens).sum();
         // Byte totals track the *stored* node sizes: a dedup-hit node was
         // sized by whichever session wrote it first, and proportional
         // rounding differs across totals.
         let mut covered_bytes: u64 = chain.iter().map(|&s| self.shared.node(s).bytes).sum();
-        let mut chain = chain;
         let mut new_blocks = 0u64;
         let mut dedup_blocks = 0u64;
         let mut bytes_written = 0u64;
@@ -485,22 +467,24 @@ impl AttentionStore {
         let mut fitted = true;
         for ck in &desired[common..] {
             let bytes = Self::chunk_bytes(total_bytes, total_tokens, covered_tokens, ck.tokens);
-            if let Some(&slot) = self.shared.by_hash.get(&ck.chain_hash) {
+            if let Some(slot) = self.shared.slot_of(ck.chain_hash) {
                 // Cross-session (or re-grown) dedup hit: share the node.
-                let n = self.shared.node_mut(slot);
-                n.refs += 1;
-                n.last_access = now;
-                n.owner_hint = sid;
+                let node_bytes = self.shared.update(slot, |n| {
+                    n.refs += 1;
+                    n.last_access = now;
+                    n.owner_hint = sid;
+                    n.bytes
+                });
                 dedup_blocks += 1;
-                bytes_saved += n.bytes;
-                covered_bytes += n.bytes;
+                bytes_saved += node_bytes;
+                covered_bytes += node_bytes;
                 chain.push(slot);
             } else {
                 // Fresh chunk: prefer tier 0, spill down the stack like
                 // per-session saves (the write stream lands hop by hop).
                 let placement = (0..self.pools.len())
                     .map(TierId)
-                    .find(|&t| self.ca_make_room_in(now, t, bytes, sid, queue, &mut transfers));
+                    .find(|&t| self.ca_make_room_in(now, t, bytes, sid, &mut ws, &mut transfers));
                 let Some(placement) = placement else {
                     fitted = false;
                     break;
@@ -519,20 +503,9 @@ impl AttentionStore {
                 let blocks = self.pools[placement.0]
                     .alloc(bytes)
                     .expect("room made above");
-                let seq = self.shared.next_seq;
-                self.shared.next_seq += 1;
-                let slot = self.shared.insert_node(ChunkNode {
-                    chain_hash: ck.chain_hash,
-                    tokens: ck.tokens,
-                    bytes,
-                    placement,
-                    blocks,
-                    refs: 1,
-                    pins: 0,
-                    last_access: now,
-                    insert_seq: seq,
-                    owner_hint: sid,
-                });
+                let slot = self
+                    .shared
+                    .insert_node(*ck, bytes, placement, blocks, now, sid);
                 new_blocks += 1;
                 bytes_written += bytes;
                 covered_bytes += bytes;
@@ -558,7 +531,7 @@ impl AttentionStore {
         }
         if chain.is_empty() {
             // Nothing fit at all: no chain survives.
-            self.shared.sessions.remove(&sid);
+            self.shared.remove_session(sid);
             self.emit_occupancy(mark, now);
             return (transfers, false);
         }
@@ -567,19 +540,8 @@ impl AttentionStore {
             .map(|&s| self.shared.node(s).placement)
             .max()
             .expect("chain non-empty");
-        let seq = self.shared.next_seq;
-        self.shared.next_seq += 1;
-        self.shared.sessions.insert(
-            sid,
-            SessionRef {
-                chain,
-                tokens: covered_tokens,
-                bytes: covered_bytes,
-                key,
-                last_access: now,
-                insert_seq: seq,
-            },
-        );
+        self.shared
+            .insert_session(sid, chain, covered_tokens, covered_bytes, key, now);
         self.stats.saves += 1;
         self.stats.save_bytes += covered_bytes;
         self.emit(StoreEvent::Saved {
@@ -616,6 +578,7 @@ impl AttentionStore {
         sim::scope!("store.trie_probe");
         // A consult replaces any pins left by a previous one.
         self.ca_unpin(sid);
+        let mut ws = WorkingSet::new(queue);
         let mark = self.trace_mark();
         let key = self.ca_key(sid);
 
@@ -625,7 +588,7 @@ impl AttentionStore {
         let mut cross: Vec<usize> = Vec::new();
         let mut cross_tokens = 0u64;
         for ck in &grid {
-            let Some(&slot) = self.shared.by_hash.get(&ck.chain_hash) else {
+            let Some(slot) = self.shared.slot_of(ck.chain_hash) else {
                 break;
             };
             cross.push(slot);
@@ -634,16 +597,11 @@ impl AttentionStore {
         // Own-chain fallback: a session resuming its own history can
         // always reuse its stored prefix, even where its partial tail
         // chunk does not align with the context's chunk grid.
-        let own_tokens = self
-            .shared
-            .sessions
-            .get(&sid)
-            .map_or(0, |r| r.tokens.min(ctx_tokens));
-        let (matched_tokens, matched) = if own_tokens > cross_tokens {
-            let r = &self.shared.sessions[&sid];
-            (own_tokens, r.chain.clone())
-        } else {
-            (cross_tokens, cross)
+        let own = self.shared.session(sid);
+        let own_tokens = own.map_or(0, |r| r.tokens.min(ctx_tokens));
+        let (matched_tokens, matched) = match own {
+            Some(r) if own_tokens > cross_tokens => (own_tokens, r.chain.clone()),
+            _ => (cross_tokens, cross),
         };
 
         if matched.is_empty() {
@@ -678,15 +636,14 @@ impl AttentionStore {
 
         // Pin first so room-making below cannot evict what we matched.
         for &slot in &matched {
-            let n = self.shared.node_mut(slot);
-            n.pins += 1;
-            n.last_access = now;
-            n.owner_hint = sid;
+            self.shared.update(slot, |n| {
+                n.pins += 1;
+                n.last_access = now;
+                n.owner_hint = sid;
+            });
         }
         self.shared.pinned.insert(sid, matched.clone());
-        if let Some(r) = self.shared.sessions.get_mut(&sid) {
-            r.last_access = now;
-        }
+        self.shared.touch_session(sid, now);
 
         // Stage matched blocks up to tier 0 (serve-in-place when tier 0
         // genuinely cannot hold them).
@@ -701,13 +658,14 @@ impl AttentionStore {
             if from.is_fast() {
                 continue;
             }
-            if !self.ca_make_room_in(now, TierId(0), bytes, sid, queue, &mut transfers) {
+            if !self.ca_make_room_in(now, TierId(0), bytes, sid, &mut ws, &mut transfers) {
                 continue;
             }
             let new_blocks = self.pools[0].alloc(bytes).expect("room made above");
-            let node = self.shared.node_mut(slot);
-            let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-            node.placement = TierId(0);
+            let old_blocks = self.shared.update(slot, |n| {
+                n.placement = TierId(0);
+                std::mem::replace(&mut n.blocks, new_blocks)
+            });
             self.pools[from.0]
                 .free(&old_blocks)
                 .expect("blocks were in the source tier");
@@ -762,8 +720,8 @@ impl AttentionStore {
     pub(super) fn ca_unpin(&mut self, sid: SessionId) {
         if let Some(slots) = self.shared.pinned.remove(&sid) {
             for slot in slots {
-                let n = self.shared.node_mut(slot);
-                n.pins = n.pins.saturating_sub(1);
+                self.shared
+                    .update(slot, |n| n.pins = n.pins.saturating_sub(1));
             }
         }
     }
@@ -778,7 +736,7 @@ impl AttentionStore {
     /// free space (never by evicting others — truncation is a
     /// bookkeeping shrink, not a capacity event).
     pub(super) fn ca_truncate(&mut self, sid: SessionId, new_bytes: u64, new_tokens: u64) {
-        let Some(r) = self.shared.sessions.get(&sid) else {
+        let Some(r) = self.shared.session(sid) else {
             return;
         };
         if new_bytes >= r.bytes {
@@ -787,17 +745,13 @@ impl AttentionStore {
         let now = r.last_access;
         let mut key = r.key;
         key.generation += 1;
-        self.shared.keys.insert(sid, key);
+        self.shared.set_key(sid, key);
         let old = self
             .shared
-            .sessions
-            .remove(&sid)
+            .remove_session(sid)
             .expect("checked above")
             .chain;
-        for &slot in &old {
-            let n = self.shared.node_mut(slot);
-            n.refs = n.refs.saturating_sub(1);
-        }
+        self.shared.release(&old);
         self.shared.dedup.divergences += 1;
         self.emit(StoreEvent::BlockDiverged {
             session: sid.0,
@@ -817,12 +771,13 @@ impl AttentionStore {
             // hashes. Same hash means same content: reference the
             // stored node rather than inserting a duplicate, which
             // would orphan the incumbent's trie entry.
-            if let Some(&hit) = self.shared.by_hash.get(&ck.chain_hash) {
-                let n = self.shared.node_mut(hit);
-                n.refs += 1;
-                n.last_access = now;
-                n.owner_hint = sid;
-                let bytes = n.bytes;
+            if let Some(hit) = self.shared.slot_of(ck.chain_hash) {
+                let bytes = self.shared.update(hit, |n| {
+                    n.refs += 1;
+                    n.last_access = now;
+                    n.owner_hint = sid;
+                    n.bytes
+                });
                 self.shared.dedup.dedup_blocks += 1;
                 self.shared.dedup.bytes_saved += bytes;
                 chain.push(hit);
@@ -839,24 +794,22 @@ impl AttentionStore {
             let slot = if exclusive {
                 // Convert in place: shrink-realloc within the node's tier.
                 let slot = old_slot.expect("checked above");
-                let (tier, old_hash, old_blocks) = {
-                    let n = self.shared.node_mut(slot);
-                    (n.placement, n.chain_hash, std::mem::take(&mut n.blocks))
-                };
-                self.shared.by_hash.remove(&old_hash);
+                let (tier, old_blocks) = self
+                    .shared
+                    .update(slot, |n| (n.placement, std::mem::take(&mut n.blocks)));
+                self.shared.rehash(slot, ck.chain_hash);
                 self.pools[tier.0]
                     .free(&old_blocks)
                     .expect("node blocks valid");
                 let blocks = self.pools[tier.0]
                     .alloc(bytes)
                     .expect("shrinking realloc always fits");
-                let n = self.shared.node_mut(slot);
-                n.chain_hash = ck.chain_hash;
-                n.tokens = ck.tokens;
-                n.bytes = bytes;
-                n.blocks = blocks;
-                n.refs = 1;
-                self.shared.by_hash.insert(ck.chain_hash, slot);
+                self.shared.update(slot, |n| {
+                    n.tokens = ck.tokens;
+                    n.bytes = bytes;
+                    n.blocks = blocks;
+                    n.refs = 1;
+                });
                 Some(slot)
             } else {
                 // Shared (or pinned) node: copy into free space, first
@@ -866,20 +819,7 @@ impl AttentionStore {
                     .find(|t| self.pools[t.0].fits(bytes));
                 tier.map(|tier| {
                     let blocks = self.pools[tier.0].alloc(bytes).expect("fits checked");
-                    let seq = self.shared.next_seq;
-                    self.shared.next_seq += 1;
-                    self.shared.insert_node(ChunkNode {
-                        chain_hash: ck.chain_hash,
-                        tokens: ck.tokens,
-                        bytes,
-                        placement: tier,
-                        blocks,
-                        refs: 1,
-                        pins: 0,
-                        last_access: now,
-                        insert_seq: seq,
-                        owner_hint: sid,
-                    })
+                    self.shared.insert_node(*ck, bytes, tier, blocks, now, sid)
                 })
             };
             let Some(slot) = slot else {
@@ -897,46 +837,19 @@ impl AttentionStore {
             }
             let n = self.shared.node(slot);
             if n.refs == 0 && n.pins == 0 {
-                let node = self.shared.nodes[slot].take().expect("slot live");
-                self.shared.by_hash.remove(&node.chain_hash);
-                self.shared.free_slots.push(slot);
-                self.pools[node.placement.0]
-                    .free(&node.blocks)
-                    .expect("node blocks valid");
-                self.shared.dedup.refcounted_evictions += 1;
-                self.emit(StoreEvent::BlockEvicted {
-                    blocks: node.blocks.len() as u64,
-                    bytes: node.bytes,
-                    tier: node.placement,
-                    refs: 0,
-                    at: now,
-                });
+                self.ca_reclaim(now, slot);
             }
         }
         if !chain.is_empty() {
-            let seq = self.shared.next_seq;
-            self.shared.next_seq += 1;
-            self.shared.sessions.insert(
-                sid,
-                SessionRef {
-                    chain,
-                    tokens: covered_tokens,
-                    bytes: covered_bytes,
-                    key,
-                    last_access: now,
-                    insert_seq: seq,
-                },
-            );
+            self.shared
+                .insert_session(sid, chain, covered_tokens, covered_bytes, key, now);
         }
     }
 
     pub(super) fn ca_invalidate(&mut self, sid: SessionId) {
         self.ca_unpin(sid);
-        if let Some(r) = self.shared.sessions.remove(&sid) {
-            for &slot in &r.chain {
-                let n = self.shared.node_mut(slot);
-                n.refs = n.refs.saturating_sub(1);
-            }
+        if let Some(r) = self.shared.remove_session(sid) {
+            self.shared.release(&r.chain);
             self.stats.drops_invalidated += 1;
         }
     }
@@ -948,50 +861,36 @@ impl AttentionStore {
         let mark = self.trace_mark();
         let dead: Vec<SessionId> = self
             .shared
-            .sessions
-            .iter()
-            .filter(|(sid, r)| {
-                !self.shared.pinned.contains_key(sid) && now.saturating_since(r.last_access) > ttl
+            .sessions()
+            .filter(|&(sid, r)| {
+                !self.shared.pinned.contains_key(&sid) && now.saturating_since(r.last_access) > ttl
             })
-            .map(|(&sid, _)| sid)
+            .map(|(sid, _)| sid)
             .collect();
         let n = dead.len() as u64;
         for sid in dead {
-            let r = self.shared.sessions.remove(&sid).expect("listed above");
-            for &slot in &r.chain {
-                let node = self.shared.node_mut(slot);
-                node.refs = node.refs.saturating_sub(1);
-            }
+            let r = self.shared.remove_session(sid).expect("listed above");
+            self.shared.release(&r.chain);
             self.emit(StoreEvent::Expired {
                 session: sid.0,
                 at: now,
             });
         }
         self.stats.drops_ttl += n;
-        // Reclaim nodes that are both unreferenced and idle past the TTL.
-        let stale: Vec<usize> = self
-            .shared
-            .live_slots()
-            .filter(|&s| {
-                let node = self.shared.node(s);
-                node.refs == 0 && node.pins == 0 && now.saturating_since(node.last_access) > ttl
+        // Reclaim nodes that are both unreferenced and idle past the TTL:
+        // the heads of the dead orders, reclaimed in slot order.
+        let ledger = &self.shared;
+        let mut stale: Vec<usize> = (0..self.pools.len())
+            .map(TierId)
+            .flat_map(move |t| {
+                ledger
+                    .dead_lru(t)
+                    .take_while(move |&s| now.saturating_since(ledger.node(s).last_access) > ttl)
             })
             .collect();
+        stale.sort_unstable();
         for slot in stale {
-            let node = self.shared.nodes[slot].take().expect("slot live");
-            self.shared.by_hash.remove(&node.chain_hash);
-            self.shared.free_slots.push(slot);
-            self.pools[node.placement.0]
-                .free(&node.blocks)
-                .expect("node blocks valid");
-            self.shared.dedup.refcounted_evictions += 1;
-            self.emit(StoreEvent::BlockEvicted {
-                blocks: node.blocks.len() as u64,
-                bytes: node.bytes,
-                tier: node.placement,
-                refs: 0,
-                at: now,
-            });
+            self.ca_reclaim(now, slot);
         }
         self.emit_occupancy(mark, now);
         n
@@ -1003,24 +902,27 @@ impl AttentionStore {
     /// block's `owner_hint` names only its *last* accessor, so "is an
     /// imminent session about to read this?" must consult every imminent
     /// session's mapping, not the hint.
-    fn ca_queued_slots(&self, queue: &QueueView, upto: usize) -> std::collections::HashSet<usize> {
-        let mut slots = std::collections::HashSet::new();
-        for sid in queue.head(upto) {
-            if let Some(r) = self.shared.sessions.get(&sid) {
+    ///
+    /// Built once per store call and window length, and again only after
+    /// the ledger's structure (trie, chains, keys) changed.
+    pub(super) fn ca_queued_slots(&self, ws: &mut WorkingSet, upto: usize) -> Rc<HashSet<usize>> {
+        let epoch = self.shared.epoch();
+        if let Some((_, _, slots)) = ws.queued.iter().find(|q| (q.0, q.1) == (upto, epoch)) {
+            return Rc::clone(slots);
+        }
+        let mut slots = HashSet::new();
+        for sid in ws.queue.head(upto) {
+            if let Some(r) = self.shared.session(sid) {
                 slots.extend(r.chain.iter().copied());
-            } else if let Some(key) = self.shared.keys.get(&sid) {
+            } else if let Some(key) = self.shared.registered_key(sid) {
                 if key.shared_tokens > 0 {
-                    for ck in key.chain(key.shared_tokens, self.cfg.block_tokens) {
-                        match self.shared.by_hash.get(&ck.chain_hash) {
-                            Some(&slot) => {
-                                slots.insert(slot);
-                            }
-                            None => break,
-                        }
-                    }
+                    slots.extend(self.ca_shared_prefix(key));
                 }
             }
         }
+        let slots = Rc::new(slots);
+        ws.queued.retain(|q| q.0 != upto && q.1 == epoch);
+        ws.queued.push((upto, epoch, Rc::clone(&slots)));
         slots
     }
 
@@ -1034,6 +936,7 @@ impl AttentionStore {
         if !self.policy.wants_prefetch() {
             return Vec::new();
         }
+        let mut ws = WorkingSet::new(queue);
         let mut transfers = Vec::new();
         let mark = self.trace_mark();
         let window = self.prefetch_window();
@@ -1042,7 +945,7 @@ impl AttentionStore {
             .enumerate()
             .filter(|&(_, sid)| {
                 !self.shared.pinned.contains_key(&sid)
-                    && match self.shared.sessions.get(&sid) {
+                    && match self.shared.session(sid) {
                         Some(r) => r
                             .chain
                             .iter()
@@ -1052,8 +955,7 @@ impl AttentionStore {
                         // sessions stored.
                         None => self
                             .shared
-                            .keys
-                            .get(&sid)
+                            .registered_key(sid)
                             .is_some_and(|k| k.shared_tokens > 0),
                     }
             })
@@ -1063,40 +965,29 @@ impl AttentionStore {
             // space only: their matched blocks are shared with other
             // sessions, so forcing demotions on their behalf ping-pongs
             // the very chains those sessions are about to resume.
-            let own_chain = self.shared.sessions.contains_key(&sid);
-            let chain: Vec<usize> = match self.shared.sessions.get(&sid) {
+            let own_chain = self.shared.session(sid).is_some();
+            let chain: Vec<usize> = match self.shared.session(sid) {
                 Some(r) => r.chain.clone(),
-                None => {
-                    // Turn-0 look-ahead: walk the trie over the queued
-                    // session's *shared* span (those chunk hashes do not
-                    // involve its private seed), staging whatever prefix
-                    // other sessions already stored — the block-granular
-                    // analogue of §3.3.1 for cross-session reuse.
-                    let Some(key) = self.shared.keys.get(&sid).copied() else {
-                        continue;
-                    };
-                    let grid = key.chain(key.shared_tokens, self.cfg.block_tokens);
-                    let mut slots = Vec::new();
-                    for ck in &grid {
-                        match self.shared.by_hash.get(&ck.chain_hash) {
-                            Some(&slot) => slots.push(slot),
-                            None => break,
-                        }
-                    }
-                    slots
-                }
+                // Turn-0 look-ahead: walk the trie over the queued
+                // session's *shared* span (those chunk hashes do not
+                // involve its private seed), staging whatever prefix
+                // other sessions already stored — the block-granular
+                // analogue of §3.3.1 for cross-session reuse.
+                None => match self.shared.registered_key(sid) {
+                    Some(key) => self.ca_shared_prefix(key),
+                    None => continue,
+                },
             };
             // The working set of the whole prefetch window — every
-            // queued target's chain and key grid, not just this one's.
-            // Victims must come from *outside* it: queue positions
-            // shuffle between passes, so demoting one window target's
-            // blocks to stage another's would promote/demote ping-pong
-            // the same blocks pass after pass (a shared node's
-            // owner_hint names only its last accessor and cannot see
-            // this). Mirrors the per-session rule that prefetch victims
-            // are strictly out-of-window.
-            let mut protected = self.ca_queued_slots(queue, window);
-            protected.extend(chain.iter().copied());
+            // queued target's chain and key grid, not just this one's —
+            // plus this target's chain is protected. Victims must come
+            // from *outside* it: queue positions shuffle between passes,
+            // so demoting one window target's blocks to stage another's
+            // would promote/demote ping-pong the same blocks pass after
+            // pass (a shared node's owner_hint names only its last
+            // accessor and cannot see this). Mirrors the per-session rule
+            // that prefetch victims are strictly out-of-window.
+            let queued = self.ca_queued_slots(&mut ws, window);
             let mut promoted_bytes = 0u64;
             let mut promoted_from = TierId(0);
             // When no victim is demotable the whole pass stops — but only
@@ -1104,7 +995,7 @@ impl AttentionStore {
             // already staged pushed their fast-arriving transfers, and an
             // unheralded completion would leave the trace unpaired.
             let mut stalled = false;
-            for slot in chain {
+            for &slot in &chain {
                 let (bytes, from, pinned) = {
                     let n = self.shared.node(slot);
                     (n.bytes, n.placement, n.pins > 0)
@@ -1121,23 +1012,9 @@ impl AttentionStore {
                     break;
                 }
                 while !self.pools[0].fits(bytes) {
-                    let victim = self
-                        .shared
-                        .live_slots()
-                        .filter(|&s| {
-                            let n = self.shared.node(s);
-                            n.placement.is_fast()
-                                && n.pins == 0
-                                && n.owner_hint != sid
-                                && !protected.contains(&s)
-                                && queue.position(n.owner_hint).is_none_or(|p| p > pos)
-                        })
-                        .min_by_key(|&s| {
-                            let n = self.shared.node(s);
-                            (n.last_access, n.insert_seq)
-                        });
+                    let victim = self.ca_prefetch_victim(sid, pos, queue, &queued, &chain);
                     match victim {
-                        Some(v) if self.ca_demote_slot(now, v, sid, queue, &mut transfers) => {}
+                        Some(v) if self.ca_demote_slot(now, v, sid, &mut ws, &mut transfers) => {}
                         _ => {
                             stalled = true;
                             break;
@@ -1147,11 +1024,17 @@ impl AttentionStore {
                 if stalled {
                     break;
                 }
+                // The room-making cascade below tier 0 may have demoted
+                // this very node further (a demotion victim falls back to
+                // imminent blocks when nothing colder is left): stage it
+                // from where it is now.
+                let from = self.shared.node(slot).placement;
                 let new_blocks = self.pools[0].alloc(bytes).expect("fits checked");
-                let node = self.shared.node_mut(slot);
-                let old_blocks = std::mem::replace(&mut node.blocks, new_blocks);
-                node.placement = TierId(0);
-                node.last_access = now;
+                let old_blocks = self.shared.update(slot, |n| {
+                    n.placement = TierId(0);
+                    n.last_access = now;
+                    std::mem::replace(&mut n.blocks, new_blocks)
+                });
                 self.pools[from.0]
                     .free(&old_blocks)
                     .expect("blocks were in the source tier");
@@ -1177,9 +1060,15 @@ impl AttentionStore {
                 break 'targets;
             }
         }
-        transfers.extend(self.ca_maintain_reserve(now, queue));
+        transfers.extend(self.ca_restore_reserve(now, &mut ws));
         self.emit_occupancy(mark, now);
         transfers
+    }
+
+    /// Restores the tier-0 reserve (see
+    /// [`ca_restore_reserve`](Self::ca_restore_reserve)).
+    pub(super) fn ca_maintain_reserve(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
+        self.ca_restore_reserve(now, &mut WorkingSet::new(queue))
     }
 
     /// Restores the tier-0 reserve: dead nodes are reclaimed first, then
@@ -1188,37 +1077,29 @@ impl AttentionStore {
     /// demoting those only to re-stage them next prefetch pass would
     /// churn the slow links (the per-session reserve has the same
     /// refusal).
-    pub(super) fn ca_maintain_reserve(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
+    fn ca_restore_reserve(&mut self, now: Time, ws: &mut WorkingSet) -> Vec<Transfer> {
         let reserve = (self.cfg.tiers[0].capacity as f64 * self.cfg.dram_reserve_fraction) as u64;
-        let window = self.eviction_window();
-        let needed = self.ca_queued_slots(queue, window);
         let mut transfers = Vec::new();
+        if self.pools[0].free_bytes() >= reserve {
+            return transfers;
+        }
+        let window = self.eviction_window();
+        let needed = self.ca_queued_slots(ws, window);
         while self.pools[0].free_bytes() < reserve {
             if self.ca_free_dead_in(now, TierId(0)) {
                 continue;
             }
-            let victim = self
-                .shared
-                .live_slots()
-                .filter(|&s| {
-                    let n = self.shared.node(s);
-                    n.placement == TierId(0) && n.pins == 0
-                })
-                .min_by_key(|&s| {
-                    let n = self.shared.node(s);
-                    (n.last_access, n.insert_seq)
-                });
-            let Some(slot) = victim else {
+            let Some(slot) = self.ca_lru_unpinned(TierId(0)) else {
                 break;
             };
             let n = self.shared.node(slot);
-            let soon =
-                needed.contains(&slot) || queue.position(n.owner_hint).is_some_and(|p| p < window);
+            let soon = needed.contains(&slot)
+                || ws.queue.position(n.owner_hint).is_some_and(|p| p < window);
             if soon {
                 break;
             }
             let acting = SessionId(u64::MAX);
-            if !self.ca_demote_slot(now, slot, acting, queue, &mut transfers) {
+            if !self.ca_demote_slot(now, slot, acting, ws, &mut transfers) {
                 break;
             }
         }
@@ -1227,82 +1108,13 @@ impl AttentionStore {
 
     // ---- invariants (for tests) ---------------------------------------
 
-    /// Checks the ledger's structural invariants; returns a description
-    /// of the first violation. Exposed for the property tests.
+    /// Checks the ledger's structural invariants — including that the
+    /// per-tier victim orders agree with the slab — and that the pools
+    /// hold exactly the nodes' blocks; returns a description of the
+    /// first violation. Exposed for the property tests.
     #[doc(hidden)]
     pub fn validate_blocks(&self) -> Result<(), String> {
-        let l = &self.shared;
-        // by_hash maps exactly the live nodes.
-        for (&hash, &slot) in &l.by_hash {
-            let Some(node) = l.nodes.get(slot).and_then(|n| n.as_ref()) else {
-                return Err(format!("by_hash {hash:#x} points at dead slot {slot}"));
-            };
-            if node.chain_hash != hash {
-                return Err(format!(
-                    "by_hash {hash:#x} points at node {:#x}",
-                    node.chain_hash
-                ));
-            }
-        }
-        let live = l.live_slots().count();
-        if l.by_hash.len() != live {
-            return Err(format!(
-                "{} live nodes but {} hash entries",
-                live,
-                l.by_hash.len()
-            ));
-        }
-        // Refcount conservation: refs == chains referencing the slot.
-        let mut want_refs: HashMap<usize, u64> = HashMap::new();
-        for r in l.sessions.values() {
-            for &slot in &r.chain {
-                *want_refs.entry(slot).or_insert(0) += 1;
-            }
-        }
-        // Pin conservation: pins == pinned-map occurrences.
-        let mut want_pins: HashMap<usize, u64> = HashMap::new();
-        for slots in l.pinned.values() {
-            for &slot in slots {
-                *want_pins.entry(slot).or_insert(0) += 1;
-            }
-        }
-        let mut tier_blocks = vec![0usize; self.pools.len()];
-        for slot in l.live_slots() {
-            let node = l.node(slot);
-            let refs = want_refs.get(&slot).copied().unwrap_or(0);
-            if node.refs != refs {
-                return Err(format!(
-                    "node {slot}: refs {} but {} chains reference it",
-                    node.refs, refs
-                ));
-            }
-            let pins = want_pins.get(&slot).copied().unwrap_or(0);
-            if node.pins != pins {
-                return Err(format!(
-                    "node {slot}: pins {} but {} consults hold it",
-                    node.pins, pins
-                ));
-            }
-            tier_blocks[node.placement.0] += node.blocks.len();
-        }
-        // Every chain references live nodes only, with consistent sums.
-        for (sid, r) in &l.sessions {
-            let mut tokens = 0;
-            let mut bytes = 0;
-            for &slot in &r.chain {
-                let Some(node) = l.nodes.get(slot).and_then(|n| n.as_ref()) else {
-                    return Err(format!("{sid}: chain references dead slot {slot}"));
-                };
-                tokens += node.tokens;
-                bytes += node.bytes;
-            }
-            if tokens != r.tokens || bytes != r.bytes {
-                return Err(format!(
-                    "{sid}: ref claims {}t/{}B, chain sums {}t/{}B",
-                    r.tokens, r.bytes, tokens, bytes
-                ));
-            }
-        }
+        let tier_blocks = self.shared.validate()?;
         // Pool accounting: in content-addressed mode the pools hold
         // exactly the nodes (per-session entries and nodes coexist only
         // transiently in tests that mix modes, which we do not allow).

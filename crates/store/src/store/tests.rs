@@ -374,3 +374,178 @@ fn owner_attributed_views_tag_store_events() {
         }
     }
 }
+
+// ---- content-addressed victim picks vs. a full-slab scan --------------
+
+mod ledger_oracle {
+    use std::collections::HashSet;
+
+    use models::{TierSpec, TierStack};
+    use proptest::prelude::*;
+    use sim::{Dur, Time};
+
+    use super::MB;
+    use crate::store::ledger::ChunkNode;
+    use crate::store::shared::WorkingSet;
+    use crate::{ContentKey, KeyingMode, PolicyKind, QueueView, SessionId, TierId};
+
+    use super::super::{AttentionStore, StoreConfig};
+
+    /// Bytes of KV per token.
+    const BPT: u64 = 10_000;
+
+    /// Three tiers so demotions cascade, a reserve so the reserve loop
+    /// runs after every prefetch, and a TTL the expire op can reach.
+    fn store() -> AttentionStore {
+        AttentionStore::new(StoreConfig {
+            tiers: TierStack::new(vec![
+                TierSpec::dram(12 * MB),
+                TierSpec::pooled_memory(16 * MB),
+                TierSpec::ssd(40 * MB),
+            ]),
+            block_bytes: MB,
+            policy: PolicyKind::SchedulerAware,
+            keying: KeyingMode::ContentAddressed,
+            block_tokens: 128,
+            ttl: Some(Dur::from_millis(8)),
+            dram_reserve_fraction: 0.25,
+            default_session_bytes: MB,
+        })
+    }
+
+    /// Two pools sharing a 256-token prefix; private tails never collide.
+    fn key(n: u64) -> ContentKey {
+        ContentKey {
+            shared_seed: 1_000 + n % 2,
+            shared_tokens: 256,
+            private_seed: 7_000 + n,
+            generation: 0,
+        }
+    }
+
+    /// The full-slab scan the indexed picks replace: among live nodes
+    /// passing `keep`, the minimum of `(rank, last_access, insert_seq)`.
+    fn naive_pick(
+        s: &AttentionStore,
+        keep: impl Fn(usize, &ChunkNode) -> bool,
+        rank: impl Fn(usize, &ChunkNode) -> bool,
+    ) -> Option<usize> {
+        let l = &s.shared;
+        l.live_slots()
+            .filter(|&x| keep(x, l.node(x)))
+            .min_by_key(|&x| {
+                (
+                    rank(x, l.node(x)),
+                    l.node(x).last_access,
+                    l.node(x).insert_seq,
+                )
+            })
+    }
+
+    /// Asserts every indexed pick equals the naive scan under `queue`.
+    fn check_picks(
+        s: &AttentionStore,
+        queue: &QueueView,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let never = |_: usize, _: &ChunkNode| false;
+        let evict_window = s.eviction_window();
+        let needed = s.ca_queued_slots(&mut WorkingSet::new(queue), evict_window);
+        for t in (0..s.pools.len()).map(TierId) {
+            let dead = naive_pick(
+                s,
+                |_, n| n.placement == t && n.refs == 0 && n.pins == 0,
+                never,
+            );
+            let picked = s.ca_dead_victim(t);
+            prop_assert!(
+                picked == dead,
+                "dead victim of {t:?}: {picked:?} vs {dead:?}"
+            );
+            let lru = naive_pick(s, |_, n| n.placement == t && n.pins == 0, never);
+            let picked = s.ca_lru_unpinned(t);
+            prop_assert!(
+                picked == lru,
+                "reserve victim of {t:?}: {picked:?} vs {lru:?}"
+            );
+            let soon = |x: usize, n: &ChunkNode| {
+                queue
+                    .position(n.owner_hint)
+                    .is_some_and(|p| p < evict_window)
+                    || needed.contains(&x)
+            };
+            let demote = naive_pick(s, |_, n| n.placement == t && n.pins == 0, soon);
+            let picked = s.ca_demote_victim(t, &mut WorkingSet::new(queue));
+            prop_assert!(
+                picked == demote,
+                "demotion victim of {t:?}: {picked:?} vs {demote:?}"
+            );
+        }
+        let window = s.prefetch_window();
+        let queued = s.ca_queued_slots(&mut WorkingSet::new(queue), window);
+        for (pos, sid) in queue.head(window).enumerate() {
+            let chain: Vec<usize> = match s.shared.session(sid) {
+                Some(r) => r.chain.clone(),
+                None => s.ca_shared_prefix(key(sid.0)),
+            };
+            let protected: HashSet<usize> = queued.iter().chain(&chain).copied().collect();
+            let naive = naive_pick(
+                s,
+                |x, n| {
+                    n.placement.is_fast()
+                        && n.pins == 0
+                        && n.owner_hint != sid
+                        && !protected.contains(&x)
+                        && queue.position(n.owner_hint).is_none_or(|p| p > pos)
+                },
+                never,
+            );
+            let picked = s.ca_prefetch_victim(sid, pos, queue, &queued, &chain);
+            prop_assert!(
+                picked == naive,
+                "prefetch victim for {sid:?} at {pos}: {picked:?} vs {naive:?}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random ledger states: after every operation the indexes agree
+        /// with the slab (`validate_blocks`) and each indexed pick is
+        /// the node the full scan would choose.
+        #[test]
+        fn indexed_picks_equal_full_scans(
+            ops in proptest::collection::vec((0u64..8, 0u64..8, 64u64..640), 1..80)
+        ) {
+            let mut s = store();
+            for (step, &(op, n, tokens)) in ops.iter().enumerate() {
+                let now = Time::from_millis(step as u64);
+                // The queue rotates so queue positions, windows and the
+                // working sets change between steps.
+                let order: Vec<SessionId> =
+                    (0..8).map(|i| SessionId((i + step as u64) % 8)).collect();
+                let q = QueueView::new(&order);
+                let sid = SessionId(n);
+                s.register_content(sid, key(n));
+                match op {
+                    0..=2 => {
+                        s.save(sid, tokens * BPT, tokens, now, &q);
+                    }
+                    3 => {
+                        let _ = s.load_prefix(sid, tokens, now, &q);
+                    }
+                    4 => s.unpin(sid),
+                    5 => s.truncate(sid, tokens * BPT / 2, tokens / 2),
+                    6 => {
+                        s.expire(now);
+                    }
+                    _ => s.invalidate(sid),
+                }
+                let _ = s.prefetch(now, &q);
+                if let Err(e) = s.validate_blocks() {
+                    prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+                }
+                check_picks(&s, &q)?;
+            }
+        }
+    }
+}

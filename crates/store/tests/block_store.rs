@@ -8,9 +8,9 @@
 //! a shared block, pinned chains surviving capacity pressure, and
 //! per-session keying reducing to a ledger-free store.
 
-use models::TierStack;
+use models::{TierSpec, TierStack};
 use proptest::prelude::*;
-use sim::Time;
+use sim::{Dur, Time};
 use store::{
     AttentionStore, ContentKey, KeyingMode, Lookup, PolicyKind, QueueView, SessionId, StoreConfig,
     StoreEvent, TierId,
@@ -21,8 +21,8 @@ const MB: u64 = 1_000_000;
 /// counts translate to predictable pressure).
 const BPT: u64 = 10_000;
 
-fn block_store(keying: KeyingMode) -> AttentionStore {
-    AttentionStore::new(StoreConfig {
+fn block_store_config(keying: KeyingMode) -> StoreConfig {
+    StoreConfig {
         tiers: TierStack::two_tier(20 * MB, 60 * MB),
         block_bytes: MB,
         policy: PolicyKind::SchedulerAware,
@@ -31,6 +31,27 @@ fn block_store(keying: KeyingMode) -> AttentionStore {
         ttl: None,
         dram_reserve_fraction: 0.0,
         default_session_bytes: MB,
+    }
+}
+
+fn block_store(keying: KeyingMode) -> AttentionStore {
+    AttentionStore::new(block_store_config(keying))
+}
+
+/// [`block_store`] over three tiers, with a quarter of tier 0 held in
+/// reserve and a 10 ms idle TTL: demotions cascade below tier 1, every
+/// prefetch runs the reserve loop, and the expire op drops idle chains
+/// and reclaims stale nodes.
+fn reserve_ttl_store() -> AttentionStore {
+    AttentionStore::new(StoreConfig {
+        tiers: TierStack::new(vec![
+            TierSpec::dram(12 * MB),
+            TierSpec::pooled_memory(16 * MB),
+            TierSpec::ssd(40 * MB),
+        ]),
+        ttl: Some(Dur::from_millis(10)),
+        dram_reserve_fraction: 0.25,
+        ..block_store_config(KeyingMode::ContentAddressed)
     })
 }
 
@@ -55,7 +76,7 @@ fn apply_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, step: usize) {
     let now = Time::from_millis(step as u64);
     let order: Vec<SessionId> = (0..6).map(sid).collect();
     let q = QueueView::new(&order);
-    match op % 6 {
+    match op % 7 {
         0 | 1 => {
             // Save dominates the mix so chains actually exist.
             s.register_content(sid(n), pooled_key(n));
@@ -67,10 +88,14 @@ fn apply_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, step: usize) {
         }
         3 => s.unpin(sid(n)),
         4 => s.invalidate(sid(n)),
-        _ => {
+        5 => {
             // Truncation: divergence path. Harmless no-op when the
             // session has nothing stored or is not shrinking.
             s.truncate(sid(n), tokens * BPT / 2, tokens / 2);
+        }
+        _ => {
+            // Expiry: a no-op without a TTL.
+            s.expire(now);
         }
     }
     let _ = s.prefetch(now, &q);
@@ -87,6 +112,21 @@ proptest! {
         ops in proptest::collection::vec((0u64..6, 0u64..6, 64u64..512), 1..60)
     ) {
         let mut s = block_store(KeyingMode::ContentAddressed);
+        for (step, &(op, n, tokens)) in ops.iter().enumerate() {
+            apply_op(&mut s, op, n, tokens, step);
+            if let Err(e) = s.validate_blocks() {
+                prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+            }
+        }
+    }
+
+    /// The same invariants hold with a tier-0 reserve and a TTL, with
+    /// expiry in the operation mix.
+    #[test]
+    fn reserve_and_ttl_keep_ledger_invariants(
+        ops in proptest::collection::vec((0u64..7, 0u64..6, 64u64..512), 1..60)
+    ) {
+        let mut s = reserve_ttl_store();
         for (step, &(op, n, tokens)) in ops.iter().enumerate() {
             apply_op(&mut s, op, n, tokens, step);
             if let Err(e) = s.validate_blocks() {
@@ -228,4 +268,66 @@ fn eviction_reclaims_only_unreferenced_nodes() {
         }
     }
     assert!(evictions > 0, "churn never exercised the eviction path");
+}
+
+/// A save that has to make room at the bottom tier never releases the
+/// saving session's own chain. That chain is being replaced: releasing
+/// it mid-save would drop a second reference to the prefix the new
+/// chain keeps (and may touch a tail node already reclaimed to make the
+/// room).
+#[test]
+fn a_save_never_releases_its_own_chain() {
+    let mut s = block_store(KeyingMode::ContentAddressed);
+    let q = QueueView::empty();
+    let a = sid(0);
+    s.save(a, 200 * BPT, 200, Time::ZERO, &q);
+    // a's consult makes it the least recently used session, and its pin
+    // keeps the storm below from releasing it.
+    let _ = s.load_prefix(a, 200, Time::from_millis(1), &q);
+    for i in 1..=20 {
+        s.save(sid(100 + i), 384 * BPT, 384, Time::from_millis(1 + i), &q);
+    }
+    // a grows far past its partial tail while both tiers are full: the
+    // save's room-making reaches the bottom tier, where a is the oldest
+    // unpinned session.
+    s.save(a, 1200 * BPT, 1200, Time::from_millis(1000), &q);
+    s.validate_blocks()
+        .expect("ledger sound after a growing save");
+    assert_eq!(
+        s.cached_tokens(a),
+        Some(1200),
+        "the saving session lost its chain"
+    );
+}
+
+/// A prefetch whose room-making cascade demotes the very node it is
+/// staging still stages it from where it now lives. Here tier 1 holds
+/// only the queued sessions' blocks, so making room there falls back to
+/// demoting its least recently used one: the target's own node.
+#[test]
+fn prefetch_stages_a_node_its_own_cascade_moved() {
+    let mut s = AttentionStore::new(StoreConfig {
+        tiers: TierStack::new(vec![
+            TierSpec::dram(4 * MB),
+            TierSpec::pooled_memory(4 * MB),
+            TierSpec::ssd(60 * MB),
+        ]),
+        ..block_store_config(KeyingMode::ContentAddressed)
+    });
+    let empty = QueueView::empty();
+    // One 2-block chunk each. By the fourth save, a's and b's nodes sit
+    // in tier 1 (full) and c's and d's in tier 0 (full).
+    for (i, n) in [0, 1, 2, 3].into_iter().enumerate() {
+        s.save(sid(n), 128 * BPT, 128, Time::from_millis(i as u64), &empty);
+    }
+    assert_eq!(s.lookup(sid(0)), Lookup::Hit(TierId(1)));
+    let queue = QueueView::new(&[sid(0), sid(1)]);
+    s.prefetch(Time::from_millis(10), &queue);
+    s.validate_blocks()
+        .expect("ledger sound after the prefetch");
+    assert_eq!(
+        s.lookup(sid(0)),
+        Lookup::Hit(TierId(0)),
+        "target not staged"
+    );
 }

@@ -18,9 +18,13 @@
 //! and commit the diff together with an explanation of why the numbers
 //! moved.
 
-use cachedattention::engine::{run_trace, EngineConfig, Medium, Mode};
+use cachedattention::engine::{
+    run_cluster, run_trace, ClusterConfig, EngineConfig, Medium, Mode, RouterKind,
+};
 use cachedattention::models::ModelSpec;
-use cachedattention::workload::{Generator, ShareGptProfile};
+use cachedattention::sim::Dur;
+use cachedattention::store::KeyingMode;
+use cachedattention::workload::{Generator, PrefixProfile, PrefixScenario, ShareGptProfile};
 use std::path::PathBuf;
 
 const MODES: [Mode; 3] = [
@@ -49,7 +53,14 @@ fn golden_dir() -> PathBuf {
 fn check(name: &str, cfg: EngineConfig, n_sessions: usize, seed: u64) {
     let trace = Generator::new(ShareGptProfile::default(), seed).trace(n_sessions);
     let report = run_trace(cfg, trace);
-    let mut json = serde_json::to_string_pretty(&report).expect("report serializes");
+    check_json(
+        name,
+        serde_json::to_string_pretty(&report).expect("report serializes"),
+    );
+}
+
+/// Checks (or regenerates) fixture `name` against a serialized report.
+fn check_json(name: &str, mut json: String) {
     json.push('\n');
 
     let path = golden_dir().join(format!("{name}.json"));
@@ -121,4 +132,29 @@ fn golden_ablations() {
     let mut no_as = pressured(Mode::CachedAttention, Medium::DramDisk);
     no_as.async_save = false;
     check("ca_dramdisk_no_async_save", no_as, 20, 7);
+}
+
+/// Content-addressed block keying on a 2-instance cluster serving four
+/// shared system prompts: pins the block ledger's victim order end to
+/// end. The run reaches every victim pick — refcounted eviction,
+/// demotion, prefetch staging, the tier-0 reserve, whole-chain release
+/// at the bottom tier and TTL expiry. The fixture is the whole
+/// `ClusterReport`, dedup counters included.
+#[test]
+fn golden_content_addressed_shared_prefix() {
+    let mut cfg = pressured(Mode::CachedAttention, Medium::DramDisk);
+    cfg.store.set_disk_bytes(60_000_000_000);
+    cfg.store.keying = KeyingMode::ContentAddressed;
+    cfg.store.ttl = Some(Dur::from_secs_f64(300.0));
+    let scenario = PrefixScenario::SharedSystemPrompt {
+        pools: 4,
+        prompt_tokens: 1024,
+    };
+    let trace = PrefixProfile::new(ShareGptProfile::default(), scenario).trace(7, 40);
+    let cluster = ClusterConfig::new(cfg, 2, RouterKind::SessionAffinity);
+    let report = run_cluster(cluster, trace);
+    check_json(
+        "ca_shared_prefix_cluster",
+        serde_json::to_string_pretty(&report).expect("report serializes"),
+    );
 }
