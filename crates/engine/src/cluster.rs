@@ -1523,6 +1523,7 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                             // Let one decode iteration through, then
                             // resume (schedule_next picks it back up). Its
                             // timeline span is covered by the admission.
+                            sim::scope!("cluster.decode");
                             self.instances[i].exec.pending_chunk =
                                 Some((job, chunks_left, chunk_dur));
                             let dur = self.instances[i]
@@ -1535,10 +1536,17 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                         }
                     }
                     Some(Action::Decode) => {
+                        // One scope per decode iteration: advancing the
+                        // batch, retiring finished jobs, and picking (for
+                        // a continuing batch: timing and re-pushing) the
+                        // next iteration.
+                        sim::scope!("cluster.decode");
                         let finished = self.instances[i].exec.advance_decode(&mut self.jobs);
                         for j in finished {
                             self.retire_job(now, inst, j, q);
                         }
+                        self.schedule_next(now, inst, q);
+                        return;
                     }
                     Some(Action::Sleep) | None => {}
                 }

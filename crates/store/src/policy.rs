@@ -135,14 +135,17 @@ impl PolicyKind {
 
 /// Chooses which session to evict from a tier.
 pub trait EvictionPolicy {
-    /// Picks a victim among `candidates` (unpinned entries of one tier).
+    /// Picks a victim among `candidates` (unpinned entries of one tier),
+    /// walked in victim order: least recently used first, ties broken
+    /// by `insert_seq` (unique), then by session id. Policies stop
+    /// walking as soon as the rest of the order cannot change the pick.
     ///
     /// `queue` is the scheduler's queue and `window` the look-ahead
     /// eviction window length in queue positions; history-only policies
     /// ignore both. Returns `None` when there are no candidates.
     fn choose_victim(
         &self,
-        candidates: &[(SessionId, &Entry)],
+        candidates: &mut dyn Iterator<Item = (SessionId, &Entry)>,
         queue: &QueueView,
         window: usize,
     ) -> Option<SessionId>;
@@ -160,14 +163,11 @@ pub struct Lru;
 impl EvictionPolicy for Lru {
     fn choose_victim(
         &self,
-        candidates: &[(SessionId, &Entry)],
+        candidates: &mut dyn Iterator<Item = (SessionId, &Entry)>,
         _queue: &QueueView,
         _window: usize,
     ) -> Option<SessionId> {
-        candidates
-            .iter()
-            .min_by_key(|(sid, e)| (e.last_access, e.insert_seq, *sid))
-            .map(|&(sid, _)| sid)
+        candidates.next().map(|(sid, _)| sid)
     }
 }
 
@@ -177,14 +177,13 @@ pub struct Fifo;
 impl EvictionPolicy for Fifo {
     fn choose_victim(
         &self,
-        candidates: &[(SessionId, &Entry)],
+        candidates: &mut dyn Iterator<Item = (SessionId, &Entry)>,
         _queue: &QueueView,
         _window: usize,
     ) -> Option<SessionId> {
         candidates
-            .iter()
             .min_by_key(|(sid, e)| (e.insert_seq, *sid))
-            .map(|&(sid, _)| sid)
+            .map(|(sid, _)| sid)
     }
 }
 
@@ -195,32 +194,30 @@ impl EvictionPolicy for Fifo {
 /// horizon); among them the least recently used goes first. When every
 /// candidate is in the window, the one nearest the **tail** — the furthest
 /// future use, i.e. the Belady choice within the horizon — is evicted.
+///
+/// Walking the victim order, the first out-of-window candidate is the
+/// pick; the walk meanwhile tracks the furthest in-window `(position,
+/// sid)` as the fallback. Only queued sessions are ever in the window,
+/// so a walk visits at most one candidate more than the queue holds.
 pub struct SchedulerAware;
 
 impl EvictionPolicy for SchedulerAware {
     fn choose_victim(
         &self,
-        candidates: &[(SessionId, &Entry)],
+        candidates: &mut dyn Iterator<Item = (SessionId, &Entry)>,
         queue: &QueueView,
         window: usize,
     ) -> Option<SessionId> {
-        let in_window = |sid: SessionId| match queue.position(sid) {
-            Some(p) if p < window => Some(p),
-            _ => None,
-        };
-        // Preferred: not referenced within the window; LRU among them.
-        if let Some(&(sid, _)) = candidates
-            .iter()
-            .filter(|&&(sid, _)| in_window(sid).is_none())
-            .min_by_key(|(sid, e)| (e.last_access, e.insert_seq, *sid))
-        {
-            return Some(sid);
+        let mut furthest = None;
+        for (sid, _) in candidates {
+            match queue.position(sid) {
+                Some(p) if p < window => furthest = furthest.max(Some((p, sid))),
+                // Not referenced within the window: the LRU such one.
+                _ => return Some(sid),
+            }
         }
         // Everything is about to be used: evict the furthest-future one.
-        candidates
-            .iter()
-            .max_by_key(|&&(sid, _)| (in_window(sid).expect("filtered above"), sid))
-            .map(|&(sid, _)| sid)
+        furthest.map(|(_, sid)| sid)
     }
 
     fn wants_prefetch(&self) -> bool {
@@ -246,6 +243,19 @@ mod tests {
         }
     }
 
+    /// Runs `policy` over `cands` walked in victim order, the way the
+    /// store's per-tier order presents them.
+    fn pick(
+        policy: &dyn EvictionPolicy,
+        cands: &[(SessionId, &Entry)],
+        queue: &QueueView,
+        window: usize,
+    ) -> Option<SessionId> {
+        let mut order = cands.to_vec();
+        order.sort_by_key(|&(sid, e)| (e.last_access, e.insert_seq, sid));
+        policy.choose_victim(&mut order.into_iter(), queue, window)
+    }
+
     #[test]
     fn lru_picks_oldest_access() {
         let a = entry(50, 0);
@@ -253,7 +263,7 @@ mod tests {
         let c = entry(30, 2);
         let cands = vec![(SessionId(1), &a), (SessionId(2), &b), (SessionId(3), &c)];
         assert_eq!(
-            Lru.choose_victim(&cands, &QueueView::empty(), 0),
+            pick(&Lru, &cands, &QueueView::empty(), 0),
             Some(SessionId(2))
         );
     }
@@ -264,7 +274,7 @@ mod tests {
         let b = entry(10, 9);
         let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
         assert_eq!(
-            Fifo.choose_victim(&cands, &QueueView::empty(), 0),
+            pick(&Fifo, &cands, &QueueView::empty(), 0),
             Some(SessionId(1))
         );
     }
@@ -278,10 +288,7 @@ mod tests {
         let c = entry(99, 2);
         let cands = vec![(SessionId(1), &a), (SessionId(2), &b), (SessionId(3), &c)];
         let q = QueueView::new(&[SessionId(1), SessionId(2)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 10),
-            Some(SessionId(3))
-        );
+        assert_eq!(pick(&SchedulerAware, &cands, &q, 10), Some(SessionId(3)));
     }
 
     #[test]
@@ -291,10 +298,18 @@ mod tests {
         let b = entry(20, 1);
         let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
         let q = QueueView::new(&[SessionId(2), SessionId(1)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 10),
-            Some(SessionId(1))
-        );
+        assert_eq!(pick(&SchedulerAware, &cands, &q, 10), Some(SessionId(1)));
+    }
+
+    #[test]
+    fn scheduler_aware_fallback_uses_earliest_position_of_duplicates() {
+        // s1 is queued at 0 and again at 2; its earliest position counts,
+        // so s2 (position 1) is the furthest-future candidate.
+        let a = entry(10, 0);
+        let b = entry(20, 1);
+        let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
+        let q = QueueView::new(&[SessionId(1), SessionId(2), SessionId(1)]);
+        assert_eq!(pick(&SchedulerAware, &cands, &q, 10), Some(SessionId(2)));
     }
 
     #[test]
@@ -305,10 +320,42 @@ mod tests {
         let b = entry(5, 1);
         let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
         let q = QueueView::new(&[SessionId(1), SessionId(2)]);
-        assert_eq!(
-            SchedulerAware.choose_victim(&cands, &q, 1),
-            Some(SessionId(2))
-        );
+        assert_eq!(pick(&SchedulerAware, &cands, &q, 1), Some(SessionId(2)));
+    }
+
+    #[test]
+    fn excluding_the_lru_head_picks_the_next_in_order() {
+        // The store filters an excluded session out of the walk; when it
+        // is the head of the order, every policy moves on to the rest.
+        let a = entry(10, 0);
+        let b = entry(20, 1);
+        let c = entry(30, 2);
+        let all = vec![(SessionId(1), &a), (SessionId(2), &b), (SessionId(3), &c)];
+        let q = QueueView::new(&[SessionId(2)]);
+        for policy in [&Lru as &dyn EvictionPolicy, &Fifo, &SchedulerAware] {
+            assert_eq!(pick(policy, &all, &q, 10), Some(SessionId(1)));
+        }
+        let rest: Vec<_> = all
+            .into_iter()
+            .filter(|&(sid, _)| sid != SessionId(1))
+            .collect();
+        assert_eq!(pick(&Lru, &rest, &q, 10), Some(SessionId(2)));
+        assert_eq!(pick(&Fifo, &rest, &q, 10), Some(SessionId(2)));
+        // s2 is queued, so the scheduler-aware walk skips it too.
+        assert_eq!(pick(&SchedulerAware, &rest, &q, 10), Some(SessionId(3)));
+    }
+
+    #[test]
+    fn equal_last_access_breaks_ties_by_insert_seq() {
+        // Same access time: the earlier insert goes first, even though
+        // its session id is larger.
+        let a = entry(10, 5);
+        let b = entry(10, 3);
+        let cands = vec![(SessionId(1), &a), (SessionId(2), &b)];
+        let q = QueueView::empty();
+        assert_eq!(pick(&Lru, &cands, &q, 0), Some(SessionId(2)));
+        assert_eq!(pick(&SchedulerAware, &cands, &q, 0), Some(SessionId(2)));
+        assert_eq!(pick(&Fifo, &cands, &q, 0), Some(SessionId(2)));
     }
 
     #[test]
@@ -319,7 +366,7 @@ mod tests {
             PolicyKind::Fifo,
         ] {
             assert_eq!(
-                kind.build().choose_victim(&[], &QueueView::empty(), 4),
+                pick(kind.build().as_ref(), &[], &QueueView::empty(), 4),
                 None
             );
         }

@@ -247,7 +247,7 @@ impl AttentionStore {
         // Integrity check over the saved KV metadata before handing the
         // entry to the engine (corruption is stamped at save time, so it
         // can surface from either tier).
-        if let Some(e) = self.entries.get(&sid) {
+        if let Some(e) = self.entries.get(sid) {
             if !e.integrity_ok(sid) {
                 let bytes = e.bytes;
                 let mark = self.trace_mark();
@@ -329,7 +329,7 @@ impl AttentionStore {
                 retries += 1;
             }
         }
-        if let Some(e) = self.entries.get(&sid) {
+        if let Some(e) = self.entries.get(sid) {
             if !e.integrity_ok(sid) {
                 let bytes = e.bytes;
                 let mark = self.trace_mark();
@@ -632,7 +632,7 @@ mod tests {
             assert!(t.is_demotion());
             assert_eq!((t.from, t.to), (TierId(0), TierId(1)));
         }
-        assert!(s.entries.values().any(|e| e.placement == TierId(1)));
+        assert!(s.entries.iter().any(|(_, e)| e.placement == TierId(1)));
     }
 
     #[test]

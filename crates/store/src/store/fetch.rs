@@ -84,8 +84,7 @@ impl AttentionStore {
         let blocks = self.pools[placement.0]
             .alloc(total_bytes)
             .expect("room made above");
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.entries.next_seq();
         let checksum = self.stamp_checksum(sid, total_bytes, total_tokens);
         self.entries.insert(
             sid,
@@ -167,7 +166,7 @@ impl AttentionStore {
                 let ev = StoreEvent::FetchHit {
                     session: sid.0,
                     tier,
-                    bytes: self.entries[&sid].bytes,
+                    bytes: self.entries.get(sid).expect("looked up").bytes,
                     at: now,
                 };
                 self.emit(ev);
@@ -176,20 +175,12 @@ impl AttentionStore {
         let mut transfers = Vec::new();
         match found {
             Lookup::Miss => {}
-            Lookup::Hit(tier) if tier.is_fast() => {
-                let e = self.entries.get_mut(&sid).expect("looked up");
-                e.last_access = now;
-                e.pinned = true;
-            }
+            Lookup::Hit(tier) if tier.is_fast() => self.pin_for_use(sid, now),
             Lookup::Hit(from) => {
-                let bytes = self.entries[&sid].bytes;
+                let bytes = self.entries.get(sid).expect("looked up").bytes;
                 if self.make_room_in(now, TierId(0), bytes, queue, Some(sid), &mut transfers) {
-                    let new_blocks = self.pools[0].alloc(bytes).expect("room made");
-                    let e = self.entries.get_mut(&sid).expect("looked up");
-                    let old = std::mem::replace(&mut e.blocks, new_blocks);
-                    e.placement = TierId(0);
-                    e.last_access = now;
-                    e.pinned = true;
+                    let old = self.restage(sid, now);
+                    self.pin_for_use(sid, now);
                     self.pools[from.0]
                         .free(&old)
                         .expect("blocks were in the source tier");
@@ -211,14 +202,35 @@ impl AttentionStore {
                 } else {
                     // Tier 0 cannot stage it (pathological sizing): serve
                     // straight from the slow tier; pin in place.
-                    let e = self.entries.get_mut(&sid).expect("looked up");
-                    e.last_access = now;
-                    e.pinned = true;
+                    self.pin_for_use(sid, now);
                 }
             }
         }
         self.emit_occupancy(mark, now);
         (found, transfers)
+    }
+
+    /// Moves `sid`'s entry into freshly allocated tier-0 blocks, stamped
+    /// accessed at `now`; returns its old blocks for the caller to free
+    /// from the source tier. Tier 0 must already fit the entry.
+    fn restage(&mut self, sid: SessionId, now: Time) -> Vec<crate::BlockId> {
+        let bytes = self.entries.get(sid).expect("target exists").bytes;
+        let new_blocks = self.pools[0].alloc(bytes).expect("room made");
+        self.entries
+            .update(sid, |e| {
+                e.placement = TierId(0);
+                e.last_access = now;
+                std::mem::replace(&mut e.blocks, new_blocks)
+            })
+            .expect("target exists")
+    }
+
+    /// Stamps `sid`'s entry accessed at `now` and pins it for use.
+    fn pin_for_use(&mut self, sid: SessionId, now: Time) {
+        self.entries.update(sid, |e| {
+            e.last_access = now;
+            e.pinned = true;
+        });
     }
 
     /// Unpins `sid` after the engine finished using (and re-saving) it.
@@ -231,9 +243,7 @@ impl AttentionStore {
         if self.cfg.keying == crate::KeyingMode::ContentAddressed {
             return self.ca_unpin(sid);
         }
-        if let Some(e) = self.entries.get_mut(&sid) {
-            e.pinned = false;
-        }
+        self.entries.update(sid, |e| e.pinned = false);
     }
 
     /// Longest-prefix match of `sid`'s next context against the stored
@@ -254,7 +264,7 @@ impl AttentionStore {
         }
         let matched = self
             .entries
-            .get(&sid)
+            .get(sid)
             .map_or(0, |e| e.tokens.min(ctx_tokens));
         let (lookup, transfers) = self.load_for_use(sid, now, queue);
         crate::PrefixMatch {
@@ -285,7 +295,7 @@ impl AttentionStore {
             .enumerate()
             .filter(|&(_, sid)| {
                 self.entries
-                    .get(&sid)
+                    .get(sid)
                     .is_some_and(|e| !e.placement.is_fast() && !e.pinned)
             })
             .collect();
@@ -293,11 +303,10 @@ impl AttentionStore {
             // Re-validate: an earlier iteration (or its evictions) may
             // have promoted, demoted or dropped this session already —
             // e.g. when the same session appears twice in the queue.
-            let from = match self.entries.get(&sid) {
-                Some(e) if !e.placement.is_fast() && !e.pinned => e.placement,
+            let (from, bytes) = match self.entries.get(sid) {
+                Some(e) if !e.placement.is_fast() && !e.pinned => (e.placement, e.bytes),
                 _ => continue,
             };
-            let bytes = self.entries[&sid].bytes;
             // Fetching into the buffer may demote cold entries (Fig 9:
             // fetching Job 3 pushes Job 4 down) — but only entries whose
             // next use is strictly further in the future than this
@@ -312,11 +321,7 @@ impl AttentionStore {
                 }
                 self.demote_session(now, victim, queue, Some(sid), &mut transfers);
             }
-            let new_blocks = self.pools[0].alloc(bytes).expect("fit ensured above");
-            let e = self.entries.get_mut(&sid).expect("target exists");
-            let old = std::mem::replace(&mut e.blocks, new_blocks);
-            e.placement = TierId(0);
-            e.last_access = now;
+            let old = self.restage(sid, now);
             self.pools[from.0]
                 .free(&old)
                 .expect("blocks were in the source tier");

@@ -2,11 +2,10 @@
 //! and the ordered victim indexes kept exact over it.
 //!
 //! Every victim pick of the content-addressed store is "the least
-//! recently used node of tier `t` that passes some filter". Each tier
-//! therefore keeps two ordered sets keyed by `(last_access, insert_seq,
-//! slot)`: every live node, and the dead ones (`refs == 0 && pins ==
-//! 0`). `insert_seq` is unique, so the first key that passes a filter
-//! is exactly the node a full `min_by_key` scan would pick.
+//! recently used node of tier `t` that passes some filter". The ledger
+//! therefore keeps two [`TierOrder`]s keyed by `(last_access,
+//! insert_seq, slot)`: every live node, and the dead ones (`refs == 0
+//! && pins == 0`).
 //!
 //! The sets stay exact because there is one mutation path: nodes enter
 //! through [`BlockLedger::insert_node`], change only inside
@@ -15,16 +14,13 @@
 //! are private to this module and callers only ever see `&ChunkNode`,
 //! so no caller can edit a node behind the indexes' back.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
 use sim::Time;
 
+use super::order::{Place, TierOrder};
 use crate::chain::{ChunkKey, ContentKey, DedupStats};
 use crate::{BlockId, SessionId, TierId};
-
-/// A node's position in its tier's victim order: least recently used
-/// first, ties broken by insertion order (unique), then the slot.
-type IndexKey = (Time, u64, usize);
 
 /// One stored chunk of KV, shared by every chain that references it.
 pub(super) struct ChunkNode {
@@ -45,8 +41,14 @@ pub(super) struct ChunkNode {
 }
 
 impl ChunkNode {
-    fn index_key(&self, slot: usize) -> IndexKey {
-        (self.last_access, self.insert_seq, slot)
+    /// Where node `slot` sits in its tier's live order.
+    fn live_place(&self, slot: usize) -> Place<usize> {
+        Some((self.placement, (self.last_access, self.insert_seq, slot)))
+    }
+
+    /// Where node `slot` sits in its tier's dead order, if dead.
+    fn dead_place(&self, slot: usize) -> Place<usize> {
+        self.live_place(slot).filter(|_| self.is_dead())
     }
 
     /// Unreferenced and unpinned: reclaimable out of the system.
@@ -65,13 +67,6 @@ pub(super) struct SessionRef {
     pub(super) insert_seq: u64,
 }
 
-/// The two victim orders of one tier.
-#[derive(Default)]
-struct TierIndex {
-    live: BTreeSet<IndexKey>,
-    dead: BTreeSet<IndexKey>,
-}
-
 /// The shared-block side of the store (empty and inert in per-session
 /// mode).
 pub(super) struct BlockLedger {
@@ -85,8 +80,10 @@ pub(super) struct BlockLedger {
     session_bytes: u64,
     /// Content keys registered before a session's first save.
     keys: BTreeMap<SessionId, ContentKey>,
-    /// Per tier: the victim orders.
-    tiers: Vec<TierIndex>,
+    /// Per tier: every live node, least recently used first.
+    live: TierOrder<usize>,
+    /// Per tier: the dead nodes, least recently used first.
+    dead: TierOrder<usize>,
     /// Bumped whenever the trie, the session map or the registered keys
     /// change: everything a queued session's working set is derived
     /// from.
@@ -107,7 +104,8 @@ impl BlockLedger {
             sessions: BTreeMap::new(),
             session_bytes: 0,
             keys: BTreeMap::new(),
-            tiers: (0..n_tiers).map(|_| TierIndex::default()).collect(),
+            live: TierOrder::new(n_tiers),
+            dead: TierOrder::new(n_tiers),
             epoch: 0,
             next_seq: 0,
             pinned: BTreeMap::new(),
@@ -167,7 +165,7 @@ impl BlockLedger {
                 self.nodes.len() - 1
             }
         };
-        self.tiers[placement.0].live.insert(node.index_key(slot));
+        self.live.rekey(None, node.live_place(slot));
         self.nodes[slot] = Some(node);
         self.by_hash.insert(ck.chain_hash, slot);
         self.epoch += 1;
@@ -179,27 +177,15 @@ impl BlockLedger {
     /// changes through [`rehash`](Self::rehash) instead.
     pub(super) fn update<R>(&mut self, slot: usize, f: impl FnOnce(&mut ChunkNode) -> R) -> R {
         let node = self.nodes[slot].as_mut().expect("slot is live");
-        let (tier, key, dead, hash) = (
-            node.placement,
-            node.index_key(slot),
-            node.is_dead(),
+        let (live, dead, hash) = (
+            node.live_place(slot),
+            node.dead_place(slot),
             node.chain_hash,
         );
         let out = f(node);
         debug_assert_eq!(node.chain_hash, hash, "chain hashes change via rehash");
-        let (new_tier, new_key, new_dead) = (node.placement, node.index_key(slot), node.is_dead());
-        if (tier, key) != (new_tier, new_key) {
-            self.tiers[tier.0].live.remove(&key);
-            self.tiers[new_tier.0].live.insert(new_key);
-        }
-        if (tier, key, dead) != (new_tier, new_key, new_dead) {
-            if dead {
-                self.tiers[tier.0].dead.remove(&key);
-            }
-            if new_dead {
-                self.tiers[new_tier.0].dead.insert(new_key);
-            }
-        }
+        self.live.rekey(live, node.live_place(slot));
+        self.dead.rekey(dead, node.dead_place(slot));
         out
     }
 
@@ -222,9 +208,8 @@ impl BlockLedger {
     /// Takes node `slot` out of the slab, the trie and the indexes.
     pub(super) fn remove_node(&mut self, slot: usize) -> ChunkNode {
         let node = self.nodes[slot].take().expect("slot is live");
-        let (tier, key) = (node.placement, node.index_key(slot));
-        self.tiers[tier.0].live.remove(&key);
-        self.tiers[tier.0].dead.remove(&key);
+        self.live.rekey(node.live_place(slot), None);
+        self.dead.rekey(node.dead_place(slot), None);
         self.by_hash.remove(&node.chain_hash);
         self.free_slots.push(slot);
         self.epoch += 1;
@@ -241,12 +226,12 @@ impl BlockLedger {
 
     /// Every live node of `tier`, least recently used first.
     pub(super) fn lru(&self, tier: TierId) -> impl Iterator<Item = usize> + '_ {
-        self.tiers[tier.0].live.iter().map(|k| k.2)
+        self.live.ids(tier)
     }
 
     /// The dead nodes of `tier`, least recently used first.
     pub(super) fn dead_lru(&self, tier: TierId) -> impl Iterator<Item = usize> + '_ {
-        self.tiers[tier.0].dead.iter().map(|k| k.2)
+        self.dead.ids(tier)
     }
 
     // ---- sessions and keys ----------------------------------------------
@@ -361,10 +346,9 @@ impl BlockLedger {
                 *want_pins.entry(slot).or_insert(0) += 1;
             }
         }
-        let mut tier_blocks = vec![0usize; self.tiers.len()];
-        let mut want: Vec<TierIndex> = (0..self.tiers.len())
-            .map(|_| TierIndex::default())
-            .collect();
+        let n_tiers = self.live.n_tiers();
+        let mut tier_blocks = vec![0usize; n_tiers];
+        let (mut want_live, mut want_dead) = (TierOrder::new(n_tiers), TierOrder::new(n_tiers));
         for slot in self.live_slots() {
             let node = self.node(slot);
             let refs = want_refs.get(&slot).copied().unwrap_or(0);
@@ -381,28 +365,13 @@ impl BlockLedger {
                     node.pins, pins
                 ));
             }
-            let t = node.placement.0;
-            tier_blocks[t] += node.blocks.len();
-            want[t].live.insert(node.index_key(slot));
-            if node.is_dead() {
-                want[t].dead.insert(node.index_key(slot));
-            }
+            tier_blocks[node.placement.0] += node.blocks.len();
+            want_live.rekey(None, node.live_place(slot));
+            want_dead.rekey(None, node.dead_place(slot));
         }
-        // Each tier's orders hold exactly its nodes under current keys
-        // (a stale or missing key shows up as a set difference).
-        for (t, (have, want)) in self.tiers.iter().zip(&want).enumerate() {
-            for (name, have, want) in [
-                ("live", &have.live, &want.live),
-                ("dead", &have.dead, &want.dead),
-            ] {
-                if let Some(k) = have.difference(want).next() {
-                    return Err(format!("tier {t}: {name} index holds stale key {k:?}"));
-                }
-                if let Some(k) = want.difference(have).next() {
-                    return Err(format!("tier {t}: {name} index misses key {k:?}"));
-                }
-            }
-        }
+        // Each tier's orders hold exactly its nodes under current keys.
+        self.live.check(&want_live, "live")?;
+        self.dead.check(&want_dead, "dead")?;
         // Every chain references live nodes only, with consistent sums.
         let mut session_bytes = 0;
         for (sid, r) in &self.sessions {

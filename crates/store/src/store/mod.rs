@@ -8,6 +8,8 @@
 //! - this module: the data types, configuration, statistics ledger and
 //!   the store struct itself (construction, tracing, capacity queries,
 //!   look-ahead window sizing);
+//! - [`entries`]: the per-session entry table and its per-tier victim
+//!   order, behind the one mutation path that keeps it exact;
 //! - [`placement`]: per-session tier placement — victim selection,
 //!   hop-by-hop demotion, eviction, reserve maintenance and entry
 //!   lifecycle (truncate / invalidate / expire);
@@ -16,16 +18,20 @@
 //! - [`shared`]: the content-addressed block ledger — chunk chains,
 //!   prefix-trie lookup, copy-on-divergence and refcounted eviction;
 //! - [`ledger`]: the ledger's state and its per-tier victim orders,
-//!   behind the one mutation path that keeps them exact.
+//!   behind the one mutation path that keeps them exact;
+//! - [`order`]: the per-tier ordered set both of those indexes use.
 //!
 //! Every public operation dispatches on the configured keying mode at
-//! its entry point; the per-session paths are the original code,
-//! untouched, so `per_session` mode stays byte-for-byte identical to
-//! the store before block keying existed.
+//! its entry point. The per-session paths pick the same victims as the
+//! original full scans (their ordered walks are checked against them),
+//! so `per_session` mode stays byte-for-byte identical to the store
+//! before block keying existed.
 
+mod entries;
 mod faults;
 mod fetch;
 mod ledger;
+mod order;
 mod placement;
 mod shared;
 #[cfg(test)]
@@ -35,8 +41,6 @@ pub use faults::{
     DegradeReason, FaultStats, FetchOutcome, PrefetchOutcome, PrefixOutcome, SaveOutcome,
 };
 pub use shared::PrefixMatch;
-
-use std::collections::BTreeMap;
 
 use models::TierStack;
 use serde::{Deserialize, Serialize};
@@ -258,11 +262,11 @@ pub struct AttentionStore {
     policy: Box<dyn crate::EvictionPolicy>,
     /// One block pool per configured tier, fastest first.
     pools: Vec<BlockPool>,
-    entries: BTreeMap<SessionId, Entry>,
+    /// The per-session entries (empty under block keying).
+    entries: entries::EntryTable,
     /// The content-addressed block ledger (empty and inert under
     /// per-session keying).
     shared: ledger::BlockLedger,
-    next_seq: u64,
     stats: StoreStats,
     /// Drainable event buffer; `None` = tracing off (zero cost).
     trace: Option<StoreEventLog>,
@@ -288,11 +292,10 @@ impl AttentionStore {
             .collect::<Vec<_>>();
         AttentionStore {
             shared: ledger::BlockLedger::new(pools.len()),
+            entries: entries::EntryTable::new(pools.len()),
             cfg,
             policy,
             pools,
-            entries: BTreeMap::new(),
-            next_seq: 0,
             stats: StoreStats::default(),
             trace: None,
             faults: None,
@@ -385,7 +388,7 @@ impl AttentionStore {
         if self.cfg.keying == KeyingMode::ContentAddressed {
             return self.ca_lookup(sid);
         }
-        match self.entries.get(&sid).map(|e| e.placement) {
+        match self.entries.get(sid).map(|e| e.placement) {
             Some(t) => Lookup::Hit(t),
             None => Lookup::Miss,
         }
@@ -395,7 +398,7 @@ impl AttentionStore {
     /// block chains have no [`Entry`] — use
     /// [`cached_tokens`](AttentionStore::cached_tokens)).
     pub fn entry(&self, sid: SessionId) -> Option<&Entry> {
-        self.entries.get(&sid)
+        self.entries.get(sid)
     }
 
     /// Tokens of `sid`'s stored KV, in either keying mode.
@@ -403,7 +406,7 @@ impl AttentionStore {
         if self.cfg.keying == KeyingMode::ContentAddressed {
             return self.ca_tokens(sid);
         }
-        self.entries.get(&sid).map(|e| e.tokens)
+        self.entries.get(sid).map(|e| e.tokens)
     }
 
     /// Returns the number of cached sessions.
@@ -453,7 +456,8 @@ impl AttentionStore {
     /// empty. Under per-session keying this is the mean entry size;
     /// under block keying it is block size × observed chain length
     /// (the mean bytes of the stored chains), so the windows track the
-    /// deduplicated footprint rather than a fixed guess.
+    /// deduplicated footprint rather than a fixed guess. O(1): both
+    /// modes keep a running byte total.
     pub fn avg_session_bytes(&self) -> u64 {
         if self.cfg.keying == KeyingMode::ContentAddressed {
             return self.ca_avg_session_bytes();
@@ -461,8 +465,7 @@ impl AttentionStore {
         if self.entries.is_empty() {
             return self.cfg.default_session_bytes.max(1);
         }
-        let total: u64 = self.entries.values().map(|e| e.bytes).sum();
-        (total / self.entries.len() as u64).max(1)
+        (self.entries.total_bytes() / self.entries.len() as u64).max(1)
     }
 
     /// Look-ahead prefetch window length, `L_pw = C_mem / S_kv` (§3.3.1).
@@ -474,5 +477,28 @@ impl AttentionStore {
     /// `L_ev = (C_mem + C_disk) / S_kv` to the stack's total capacity.
     pub fn eviction_window(&self) -> usize {
         (self.cfg.tiers.total_capacity() / self.avg_session_bytes()) as usize
+    }
+
+    /// Checks the store's structural invariants: the block ledger's
+    /// (trie, refcounts, victim orders, chain-byte total), the entry
+    /// table's (each tier's order holds exactly its unpinned entries
+    /// under their current keys, the byte total is the entries' sum),
+    /// and that each tier's pool holds exactly the blocks of that tier's
+    /// nodes and entries. Returns a description of the first violation.
+    /// Exposed for the property tests.
+    #[doc(hidden)]
+    pub fn validate_blocks(&self) -> Result<(), String> {
+        let node_blocks = self.shared.validate()?;
+        let entry_blocks = self.entries.validate()?;
+        for (i, pool) in self.pools.iter().enumerate() {
+            let want = node_blocks[i] + entry_blocks[i];
+            if pool.used_blocks() as usize != want {
+                return Err(format!(
+                    "tier {i}: pool holds {} blocks, nodes and entries account for {want}",
+                    pool.used_blocks()
+                ));
+            }
+        }
+        Ok(())
     }
 }

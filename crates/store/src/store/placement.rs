@@ -10,19 +10,9 @@ use crate::{Entry, QueueView, SessionId, TierId};
 use super::{AttentionStore, Transfer};
 
 impl AttentionStore {
-    /// Unpinned candidates of one tier, sorted by session id for
-    /// deterministic policy input.
-    fn candidates(&self, tier: TierId, exclude: Option<SessionId>) -> Vec<(SessionId, &Entry)> {
-        self.entries
-            .iter()
-            .filter(|(sid, e)| e.placement == tier && !e.pinned && Some(**sid) != exclude)
-            .map(|(&sid, e)| (sid, e))
-            .collect()
-    }
-
     /// Drops `sid` entirely, freeing its blocks.
     pub(super) fn drop_entry(&mut self, sid: SessionId) {
-        if let Some(e) = self.entries.remove(&sid) {
+        if let Some(e) = self.entries.remove(sid) {
             self.pools[e.placement.0]
                 .free(&e.blocks)
                 .expect("entry blocks are valid");
@@ -39,12 +29,10 @@ impl AttentionStore {
         queue: &QueueView,
         exclude: Option<SessionId>,
     ) -> bool {
-        let window = self.eviction_window();
-        let cands = self.candidates(tier, exclude);
-        let Some(victim) = self.policy.choose_victim(&cands, queue, window) else {
+        let Some(victim) = self.choose_victim_in(tier, queue, exclude) else {
             return false;
         };
-        let bytes = self.entries[&victim].bytes;
+        let bytes = self.entry(victim).expect("victim exists").bytes;
         self.drop_entry(victim);
         self.stats.drops_capacity += 1;
         self.emit(StoreEvent::Evicted {
@@ -58,7 +46,9 @@ impl AttentionStore {
         true
     }
 
-    /// Picks the entry of `tier` the policy would demote next.
+    /// Picks the entry of `tier` the policy would demote (or, at the
+    /// bottom tier, evict) next: a walk of the tier's unpinned entries
+    /// in victim order, skipping `exclude`.
     pub(super) fn choose_victim_in(
         &self,
         tier: TierId,
@@ -66,8 +56,11 @@ impl AttentionStore {
         exclude: Option<SessionId>,
     ) -> Option<SessionId> {
         let window = self.eviction_window();
-        let cands = self.candidates(tier, exclude);
-        self.policy.choose_victim(&cands, queue, window)
+        let mut cands = self
+            .entries
+            .unpinned(tier)
+            .filter(|&(sid, _)| Some(sid) != exclude);
+        self.policy.choose_victim(&mut cands, queue, window)
     }
 
     /// Frees space in `tier` by one entry: the bottom tier evicts out of
@@ -107,8 +100,8 @@ impl AttentionStore {
         exclude: Option<SessionId>,
         out: &mut Vec<Transfer>,
     ) -> bool {
-        let bytes = self.entries[&victim].bytes;
-        let from = self.entries[&victim].placement;
+        let e = self.entry(victim).expect("victim exists");
+        let (bytes, from) = (e.bytes, e.placement);
         let to = from.below();
         debug_assert!(to.0 < self.pools.len(), "bottom tier evicts, not demotes");
         // Make room one tier down; cascade further demotions/evictions if
@@ -128,9 +121,13 @@ impl AttentionStore {
             }
         }
         let new_blocks = self.pools[to.0].alloc(bytes).expect("fit ensured above");
-        let e = self.entries.get_mut(&victim).expect("victim exists");
-        let old_blocks = std::mem::replace(&mut e.blocks, new_blocks);
-        e.placement = to;
+        let old_blocks = self
+            .entries
+            .update(victim, |e| {
+                e.placement = to;
+                std::mem::replace(&mut e.blocks, new_blocks)
+            })
+            .expect("victim exists");
         self.pools[from.0]
             .free(&old_blocks)
             .expect("blocks were in the source tier");
@@ -212,29 +209,27 @@ impl AttentionStore {
         if self.cfg.keying == crate::KeyingMode::ContentAddressed {
             return self.ca_truncate(sid, new_bytes, new_tokens);
         }
-        let Some(e) = self.entries.get(&sid) else {
+        let Some(e) = self.entries.get(sid) else {
             return;
         };
         if new_bytes >= e.bytes {
             return;
         }
-        let placement = e.placement;
         let was_ok = e.integrity_ok(sid);
-        let pool = &mut self.pools[placement.0];
-        let old = self.entries.get_mut(&sid).expect("checked above");
-        let old_blocks = std::mem::take(&mut old.blocks);
-        pool.free(&old_blocks).expect("entry blocks valid");
+        let pool = &mut self.pools[e.placement.0];
+        pool.free(&e.blocks).expect("entry blocks valid");
         let blocks = pool
             .alloc(new_bytes)
             .expect("shrinking realloc always fits");
-        let e = self.entries.get_mut(&sid).expect("checked above");
-        e.blocks = blocks;
-        e.bytes = new_bytes;
-        e.tokens = new_tokens;
         // Re-stamp the integrity checksum for the new metadata; an entry
         // corrupted at save time stays corrupt through truncation.
         let good = Entry::metadata_checksum(sid, new_bytes, new_tokens);
-        e.checksum = if was_ok { good } else { good ^ 1 };
+        self.entries.update(sid, |e| {
+            e.blocks = blocks;
+            e.bytes = new_bytes;
+            e.tokens = new_tokens;
+            e.checksum = if was_ok { good } else { good ^ 1 };
+        });
     }
 
     /// Drops `sid`'s KV (context-overflow invalidation in OF mode, or an
@@ -243,13 +238,18 @@ impl AttentionStore {
         if self.cfg.keying == crate::KeyingMode::ContentAddressed {
             return self.ca_invalidate(sid);
         }
-        if self.entries.contains_key(&sid) {
+        if self.entries.get(sid).is_some() {
             self.drop_entry(sid);
             self.stats.drops_invalidated += 1;
         }
     }
 
     /// Drops entries idle longer than the TTL; returns how many expired.
+    ///
+    /// Each tier's victim order is least recently used first, so the
+    /// idle entries are a prefix of it: the walk stops at the first
+    /// entry still within the TTL. Expiry events go out in session-id
+    /// order.
     pub fn expire(&mut self, now: Time) -> u64 {
         if self.cfg.keying == crate::KeyingMode::ContentAddressed {
             return self.ca_expire(now);
@@ -257,12 +257,15 @@ impl AttentionStore {
         let Some(ttl) = self.cfg.ttl else {
             return 0;
         };
-        let dead: Vec<SessionId> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !e.pinned && now.saturating_since(e.last_access) > ttl)
-            .map(|(&sid, _)| sid)
+        let mut dead: Vec<SessionId> = (0..self.pools.len())
+            .flat_map(|t| {
+                self.entries
+                    .unpinned(TierId(t))
+                    .take_while(|(_, e)| now.saturating_since(e.last_access) > ttl)
+                    .map(|(sid, _)| sid)
+            })
             .collect();
+        dead.sort_unstable();
         let n = dead.len() as u64;
         let mark = self.trace_mark();
         for sid in dead {

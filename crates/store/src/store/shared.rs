@@ -1105,30 +1105,4 @@ impl AttentionStore {
         }
         transfers
     }
-
-    // ---- invariants (for tests) ---------------------------------------
-
-    /// Checks the ledger's structural invariants — including that the
-    /// per-tier victim orders agree with the slab — and that the pools
-    /// hold exactly the nodes' blocks; returns a description of the
-    /// first violation. Exposed for the property tests.
-    #[doc(hidden)]
-    pub fn validate_blocks(&self) -> Result<(), String> {
-        let tier_blocks = self.shared.validate()?;
-        // Pool accounting: in content-addressed mode the pools hold
-        // exactly the nodes (per-session entries and nodes coexist only
-        // transiently in tests that mix modes, which we do not allow).
-        if self.entries.is_empty() {
-            for (i, pool) in self.pools.iter().enumerate() {
-                if pool.used_blocks() as usize != tier_blocks[i] {
-                    return Err(format!(
-                        "tier {i}: pool holds {} blocks, nodes account for {}",
-                        pool.used_blocks(),
-                        tier_blocks[i]
-                    ));
-                }
-            }
-        }
-        Ok(())
-    }
 }

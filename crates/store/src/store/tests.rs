@@ -549,3 +549,168 @@ mod ledger_oracle {
         }
     }
 }
+
+// ---- per-session victim picks vs. the slice-based policies ------------
+
+mod entry_oracle {
+    use models::{TierSpec, TierStack};
+    use proptest::prelude::*;
+    use sim::{Dur, Time};
+
+    use super::MB;
+    use crate::{Entry, PolicyKind, QueueView, SessionId, StoreEvent, TierId};
+
+    use super::super::{AttentionStore, StoreConfig};
+
+    /// Two or three tiers, a reserve so the reserve loop has work, and a
+    /// TTL the expire op can reach.
+    fn store(policy: PolicyKind, deep: bool) -> AttentionStore {
+        let tiers = if deep {
+            TierStack::new(vec![
+                TierSpec::dram(12 * MB),
+                TierSpec::pooled_memory(16 * MB),
+                TierSpec::ssd(24 * MB),
+            ])
+        } else {
+            TierStack::two_tier(12 * MB, 32 * MB)
+        };
+        let mut s = AttentionStore::new(StoreConfig {
+            tiers,
+            block_bytes: MB,
+            policy,
+            ttl: Some(Dur::from_millis(8)),
+            dram_reserve_fraction: 0.25,
+            default_session_bytes: MB,
+            ..StoreConfig::default()
+        });
+        s.set_tracing(true);
+        s
+    }
+
+    /// Mean entry bytes by a full sum (the running total replaces it).
+    fn naive_avg(s: &AttentionStore) -> u64 {
+        let total: u64 = s.entries.iter().map(|(_, e)| e.bytes).sum();
+        match s.entries.len() as u64 {
+            0 => s.cfg.default_session_bytes.max(1),
+            n => (total / n).max(1),
+        }
+    }
+
+    /// The slice-based pick the ordered walk replaces: the tier's
+    /// unpinned entries collected by session id, then scanned.
+    fn naive_pick(
+        s: &AttentionStore,
+        tier: TierId,
+        queue: &QueueView,
+        exclude: Option<SessionId>,
+    ) -> Option<SessionId> {
+        let window = (s.cfg.tiers.total_capacity() / naive_avg(s)) as usize;
+        let cands: Vec<(SessionId, &Entry)> = s
+            .entries
+            .iter()
+            .filter(|&(sid, e)| e.placement == tier && !e.pinned && Some(sid) != exclude)
+            .collect();
+        let in_window = |sid| queue.position(sid).filter(|&p| p < window);
+        let lru = |c: &&(SessionId, &Entry)| (c.1.last_access, c.1.insert_seq, c.0);
+        match s.cfg.policy {
+            PolicyKind::Lru => cands.iter().min_by_key(lru),
+            PolicyKind::Fifo => cands.iter().min_by_key(|c| (c.1.insert_seq, c.0)),
+            PolicyKind::SchedulerAware => cands
+                .iter()
+                .filter(|c| in_window(c.0).is_none())
+                .min_by_key(lru)
+                .or_else(|| cands.iter().max_by_key(|c| (in_window(c.0), c.0))),
+        }
+        .map(|c| c.0)
+    }
+
+    fn policy() -> impl Strategy<Value = PolicyKind> {
+        prop_oneof![
+            Just(PolicyKind::SchedulerAware),
+            Just(PolicyKind::Lru),
+            Just(PolicyKind::Fifo),
+        ]
+    }
+
+    proptest! {
+        /// Random per-session states: after every operation the table
+        /// agrees with the pools (`validate_blocks`), the windows read
+        /// the running byte total correctly, and every indexed pick —
+        /// per tier, with and without an excluded queued session — is
+        /// the one the slice-based policy would make.
+        #[test]
+        fn indexed_picks_equal_slice_policies(
+            policy in policy(),
+            deep in proptest::bool::ANY,
+            ops in proptest::collection::vec((0u64..11, 0u64..10, 1u64..8), 1..80)
+        ) {
+            let mut s = store(policy, deep);
+            for (step, &(op, n, mb)) in ops.iter().enumerate() {
+                let now = Time::from_millis(step as u64);
+                // Five sessions queued, the first three twice; the queue
+                // rotates so positions and windows change between steps.
+                let order: Vec<SessionId> =
+                    (0..8).map(|i| SessionId((step as u64 + i % 5) % 10)).collect();
+                let q = QueueView::new(&order);
+                let sid = SessionId(n);
+                match op {
+                    0..=2 => {
+                        s.save(sid, mb * MB, mb * 100, now, &q);
+                    }
+                    3 => {
+                        let _ = s.load_for_use(sid, now, &q);
+                    }
+                    4 => s.unpin(sid),
+                    5 => s.truncate(sid, mb * MB / 2, mb * 50),
+                    6 => s.invalidate(sid),
+                    7 => {
+                        let ttl = s.cfg.ttl.expect("configured");
+                        let mut want: Vec<u64> = s
+                            .entries
+                            .iter()
+                            .filter(|(_, e)| !e.pinned && now.saturating_since(e.last_access) > ttl)
+                            .map(|(sid, _)| sid.0)
+                            .collect();
+                        want.sort_unstable();
+                        s.drain_events();
+                        prop_assert_eq!(s.expire(now), want.len() as u64);
+                        let got: Vec<u64> = s
+                            .drain_events()
+                            .into_iter()
+                            .filter_map(|e| match e {
+                                StoreEvent::Expired { session, .. } => Some(session),
+                                _ => None,
+                            })
+                            .collect();
+                        prop_assert!(got == want, "expiry order: {got:?} vs {want:?}");
+                    }
+                    8 => {
+                        let _ = s.apply_pressure(now, 0.5, &q);
+                    }
+                    9 => {
+                        let _ = s.prefetch(now, &q);
+                    }
+                    _ => {
+                        let _ = s.maintain_reserve(now, &q);
+                    }
+                }
+                s.drain_events();
+                if let Err(e) = s.validate_blocks() {
+                    prop_assert!(false, "after step {step} (op {op}): {e}\nops: {ops:?}");
+                }
+                prop_assert_eq!(s.avg_session_bytes(), naive_avg(&s));
+                let queued = order[step % order.len()];
+                for t in (0..s.n_tiers()).map(TierId) {
+                    for exclude in [None, Some(queued)] {
+                        let picked = s.choose_victim_in(t, &q, exclude);
+                        let naive = naive_pick(&s, t, &q, exclude);
+                        prop_assert!(
+                            picked == naive,
+                            "step {step}, {t:?}, exclude {exclude:?}: {picked:?} vs {naive:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

@@ -106,6 +106,11 @@ proptest! {
                     store.expire(now);
                 }
             }
+            // Pool accounting, the per-tier victim orders and the byte
+            // total agree with the entries.
+            if let Err(e) = store.validate_blocks() {
+                prop_assert!(false, "after op {i} ({op:?}): {e}");
+            }
             // Capacity invariants: used bytes never exceed tier capacity.
             prop_assert!(store.dram_used_bytes() <= 100 * MB);
             prop_assert!(store.disk_used_bytes() <= 300 * MB);
@@ -149,6 +154,9 @@ proptest! {
         for (i, &sid) in sids.iter().enumerate() {
             let now = Time::from_secs_f64(i as f64);
             let (transfers, saved) = store.save(SessionId(sid), 20 * MB, 20, now, &empty);
+            if let Err(e) = store.validate_blocks() {
+                prop_assert!(false, "after save {i} of s{sid}: {e}");
+            }
             if saved {
                 prop_assert_eq!(store.lookup(SessionId(sid)), Lookup::Hit(TierId(0)));
             }

@@ -134,6 +134,11 @@ proptest! {
                     hops = store.prefetch(now, &QueueView::new(&q));
                 }
             }
+            // Pool accounting, the per-tier victim orders and the byte
+            // total agree with the entries.
+            if let Err(e) = store.validate_blocks() {
+                prop_assert!(false, "after op {i} ({op:?}): {e}");
+            }
             // Every reported transfer is a single adjacent-tier hop
             // between configured tiers.
             for t in &hops {
