@@ -5,7 +5,10 @@
 #
 # 1. rustfmt check (no dirty formatting lands)
 # 2. release build of the whole workspace (examples + benches included)
-# 3. full test suite (unit, integration, golden-report, proptests, doctests)
+# 3. full test suite (unit, integration, golden-report, proptests, doctests),
+#    then servebench's unit tests: servebench is its own package outside
+#    the root workspace, built against the engine/store public API, so
+#    `cargo test --workspace` never compiles it
 # 4. clippy with warnings denied
 # 5. telemetry smoke: capture a small traced run, validate the outputs
 # 6. cluster smoke: 2-instance run with telemetry, validated the same way
@@ -51,6 +54,9 @@ cargo build --release --workspace
 
 echo "==> cargo test --workspace"
 cargo test --workspace -q
+
+echo "==> servebench unit tests"
+cargo test --offline --release -q --manifest-path servebench/Cargo.toml
 
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -74,11 +74,7 @@ fn bench_store(c: &mut Criterion) {
                             &view,
                         );
                         if i % 3 == 0 {
-                            store.load_for_use(
-                                SessionId((i + 32) % 64),
-                                Time::from_nanos(i),
-                                &view,
-                            );
+                            store.load(SessionId((i + 32) % 64), 1_000, Time::from_nanos(i), &view);
                             store.unpin(SessionId((i + 32) % 64));
                         }
                         store.prefetch(Time::from_nanos(i), &view);

@@ -213,7 +213,7 @@ pub fn eviction_window_sessions(c_mem: u64, c_disk: u64, s_kv: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use store::{AttentionStore, StoreConfig, StorePlanner};
+    use store::{AttentionStore, StoreConfig};
 
     #[test]
     fn fcfs_preserves_arrival_order() {
@@ -356,11 +356,11 @@ mod tests {
         let store = AttentionStore::new(cfg.clone());
         let s_kv = cfg.default_session_bytes;
         assert_eq!(
-            StorePlanner::prefetch_window(&store),
+            store.prefetch_window(),
             prefetch_window_sessions(cfg.dram_bytes(), s_kv)
         );
         assert_eq!(
-            StorePlanner::eviction_window(&store),
+            store.eviction_window(),
             eviction_window_sessions(cfg.dram_bytes(), cfg.disk_bytes(), s_kv)
         );
     }

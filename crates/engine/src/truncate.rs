@@ -11,7 +11,7 @@
 //! [`truncate_history`] is the pure arithmetic; [`apply_store_effect`]
 //! is the per-mode store side effect.
 
-use store::{SessionId, StorePlanner};
+use store::{AttentionStore, SessionId};
 
 use crate::Mode;
 
@@ -60,7 +60,7 @@ pub fn truncate_history(window: u64, ratio: f64, hist: u64, user: u64) -> Trunca
 /// invalidates it wholesale (§4.3.4), RE has no store.
 pub fn apply_store_effect(
     mode: Mode,
-    store: Option<&mut dyn StorePlanner>,
+    store: Option<&mut AttentionStore>,
     sid: SessionId,
     new_bytes: u64,
     new_tokens: u64,
@@ -84,7 +84,7 @@ pub fn apply_store_effect(
 mod tests {
     use super::*;
     use sim::Time;
-    use store::{AttentionStore, Lookup, QueueView, StoreConfig, TierId};
+    use store::{Lookup, QueueView, StoreConfig, TierId};
 
     #[test]
     fn no_truncation_when_context_fits() {
@@ -154,15 +154,15 @@ mod tests {
 
         let mut ca = mk();
         apply_store_effect(Mode::CachedAttention, Some(&mut ca), sid, 400_000, 40);
-        assert_eq!(StorePlanner::entry_tokens(&ca, sid), Some(40));
+        assert_eq!(ca.cached_tokens(sid), Some(40));
 
         let mut of = mk();
         apply_store_effect(Mode::CoupledOverflow, Some(&mut of), sid, 400_000, 40);
-        assert_eq!(StorePlanner::entry_tokens(&of, sid), None);
+        assert_eq!(of.cached_tokens(sid), None);
 
         let mut re = mk();
         apply_store_effect(Mode::Recompute, Some(&mut re), sid, 400_000, 40);
-        let (found, _) = re.load_for_use(sid, Time::ZERO, &view);
-        assert_eq!(found, Lookup::Hit(TierId(0)));
+        let found = re.load(sid, 100, Time::ZERO, &view);
+        assert_eq!(found.lookup, Lookup::Hit(TierId(0)));
     }
 }

@@ -14,7 +14,7 @@
 //! consumers can label tracks without hard-coding a hierarchy.
 //!
 //! The serving engine drains these events through
-//! [`StorePlanner::drain_events`](crate::StorePlanner::drain_events) and
+//! [`AttentionStore::drain_events`](crate::AttentionStore::drain_events) and
 //! merges them with its own pipeline events into one causally-ordered
 //! trace; a few variants ([`StoreEvent::PrefetchCompleted`],
 //! [`StoreEvent::WriteBufferStall`]) are emitted by the engine itself

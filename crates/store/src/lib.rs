@@ -34,7 +34,6 @@ mod block;
 mod chain;
 mod entry;
 mod events;
-mod planner;
 mod policy;
 #[allow(clippy::module_inception)]
 mod store;
@@ -43,9 +42,8 @@ pub use block::{BlockId, BlockPool};
 pub use chain::{ChunkKey, ContentKey, DedupStats, KeyingMode, CHAIN_SEED};
 pub use entry::{Entry, SessionId, TierId};
 pub use events::{FetchKind, NullStoreObserver, StoreEvent, StoreEventLog, StoreObserver};
-pub use planner::StorePlanner;
 pub use policy::{EvictionPolicy, Fifo, Lru, PolicyKind, QueueView, SchedulerAware};
 pub use store::{
-    AttentionStore, DegradeReason, FaultStats, FetchOutcome, Lookup, PrefetchOutcome, PrefixMatch,
-    PrefixOutcome, SaveOutcome, StoreConfig, StoreStats, Transfer,
+    AttentionStore, DegradeReason, FaultStats, LoadOutcome, Lookup, PrefetchOutcome, SaveOutcome,
+    StoreConfig, StoreStats, Transfer,
 };

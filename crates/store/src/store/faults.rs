@@ -1,16 +1,18 @@
-//! Fault-aware store I/O: fallible load/save/prefetch with deterministic
+//! Fault-aware store I/O: the read and write gates behind
+//! [`AttentionStore::load`], [`AttentionStore::save`] and
+//! [`AttentionStore::prefetch`], with deterministic
 //! retry-with-exponential-backoff, integrity verification and DRAM
 //! pressure handling.
 //!
-//! Every `try_*` method delegates verbatim to its infallible counterpart
-//! when no [`sim::FaultPlan`] is installed, so fault-free runs execute
-//! byte-identical code. With a plan installed:
+//! Every gate returns at once when no [`sim::FaultPlan`] is installed,
+//! so fault-free runs execute exactly the bookkeeping paths. With a plan
+//! installed:
 //!
-//! - disk reads (demand fetches of disk-resident entries, prefetch
+//! - disk reads (demand fetches of disk-resident KV, prefetch
 //!   promotions) roll the plan's read-error rate per attempt, retrying
 //!   with exponential backoff up to `retry.max_retries` times;
 //! - a demand fetch that exhausts its retries, or whose entry fails the
-//!   integrity checksum, invalidates the entry and reports a
+//!   integrity checksum, invalidates the session's KV and reports a
 //!   [`DegradeReason`] — the engine then serves the turn by RE-style
 //!   re-prefill instead of aborting;
 //! - saves roll the write-error rate the same way; an exhausted save
@@ -70,12 +72,18 @@ impl DegradeReason {
     }
 }
 
-/// Result of a fallible demand fetch.
-#[derive(Debug, Clone)]
-pub struct FetchOutcome {
-    /// Where the KV was found (forced to [`Lookup::Miss`] on degrade).
+/// Result of a store consult ([`AttentionStore::load`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LoadOutcome {
+    /// Where the deepest matched KV was found (`Miss` when nothing
+    /// matched, and forced to `Miss` on degrade).
     pub lookup: Lookup,
-    /// Tier movements the engine must charge.
+    /// Tokens of the requested context covered by stored KV (the engine
+    /// prefills only the unmatched tail). Under per-session keying this
+    /// is `min(cached, ctx_tokens)` on a hit and 0 on a miss.
+    pub matched_tokens: u64,
+    /// Adjacent-tier hops to charge (promotions of the matched KV plus
+    /// any demotions that made room for them).
     pub transfers: Vec<Transfer>,
     /// Read retries that preceded the result.
     pub retries: u32,
@@ -85,19 +93,26 @@ pub struct FetchOutcome {
     pub degraded: Option<DegradeReason>,
 }
 
-impl FetchOutcome {
-    fn clean(lookup: Lookup, transfers: Vec<Transfer>) -> Self {
-        FetchOutcome {
+impl LoadOutcome {
+    /// An outcome with no fault-path activity.
+    pub(super) fn clean(lookup: Lookup, matched_tokens: u64, transfers: Vec<Transfer>) -> Self {
+        LoadOutcome {
             lookup,
+            matched_tokens,
             transfers,
             retries: 0,
             backoff: Dur::ZERO,
             degraded: None,
         }
     }
+
+    /// A match of nothing.
+    pub(super) fn miss() -> Self {
+        Self::clean(Lookup::Miss, 0, Vec::new())
+    }
 }
 
-/// Result of a fallible save.
+/// Result of a save ([`AttentionStore::save`]).
 #[derive(Debug, Clone)]
 pub struct SaveOutcome {
     /// Eviction/demotion transfers the engine must charge.
@@ -112,31 +127,7 @@ pub struct SaveOutcome {
     pub failed: bool,
 }
 
-/// Result of a fallible prefix consult.
-#[derive(Debug, Clone)]
-pub struct PrefixOutcome {
-    /// The prefix match (forced to a miss on degrade).
-    pub prefix: crate::PrefixMatch,
-    /// Read retries that preceded the result.
-    pub retries: u32,
-    /// Total backoff delay accrued across those retries.
-    pub backoff: Dur,
-    /// `Some` when the session degraded to re-prefill.
-    pub degraded: Option<DegradeReason>,
-}
-
-impl PrefixOutcome {
-    fn clean(prefix: crate::PrefixMatch) -> Self {
-        PrefixOutcome {
-            prefix,
-            retries: 0,
-            backoff: Dur::ZERO,
-            degraded: None,
-        }
-    }
-}
-
-/// Result of a fallible prefetch pass.
+/// Result of a prefetch pass ([`AttentionStore::prefetch`]).
 #[derive(Debug, Clone)]
 pub struct PrefetchOutcome {
     /// Tier movements the engine must charge.
@@ -191,286 +182,187 @@ impl AttentionStore {
         }
     }
 
-    /// Fallible demand fetch: [`AttentionStore::load_for_use`] plus
-    /// injected read errors (retried with exponential backoff) and the
-    /// integrity check. On exhausted retries or detected corruption the
-    /// entry is invalidated and the outcome reports [`Lookup::Miss`] with
-    /// a [`DegradeReason`] — the caller re-prefills instead of aborting.
-    pub fn try_load_for_use(
-        &mut self,
-        sid: SessionId,
-        now: Time,
-        queue: &QueueView,
-    ) -> FetchOutcome {
-        let Some((seed, ssd, retry)) = self.fault_profile() else {
-            let (lookup, transfers) = self.load_for_use(sid, now, queue);
-            return FetchOutcome::clean(lookup, transfers);
-        };
+    /// One fallible slow-tier read or write of `sid`: rolls the plan's
+    /// `stream` dice per attempt, retrying with exponential backoff until
+    /// an attempt succeeds or `retry.max_retries` retries are spent. An
+    /// exhausted I/O invalidates the session's KV. Returns the retries,
+    /// the backoff they accrued and whether the I/O failed. Rolls nothing
+    /// without a plan or at a zero error rate.
+    fn attempt_io(&mut self, stream: FaultStream, sid: SessionId, now: Time) -> (u32, Dur, bool) {
         let mut retries = 0u32;
         let mut backoff = Dur::ZERO;
-        // Slow-tier-resident entries ride the slow read path: roll per
-        // attempt.
-        if self.lookup(sid).is_slow_hit() && ssd.read_error_rate > 0.0 {
-            loop {
-                let key = self.next_fault_roll();
-                if dice(seed, FaultStream::Read, sid.0, key) >= ssd.read_error_rate {
-                    break;
-                }
-                if retries >= retry.max_retries {
-                    let mark = self.trace_mark();
+        let Some((seed, ssd, retry)) = self.fault_profile() else {
+            return (retries, backoff, false);
+        };
+        let read = stream == FaultStream::Read;
+        let rate = if read {
+            ssd.read_error_rate
+        } else {
+            ssd.write_error_rate
+        };
+        if rate <= 0.0 {
+            return (retries, backoff, false);
+        }
+        loop {
+            let key = self.next_fault_roll();
+            if dice(seed, stream, sid.0, key) >= rate {
+                return (retries, backoff, false);
+            }
+            let (session, attempt) = (sid.0, retries);
+            if retries >= retry.max_retries {
+                let mark = self.trace_mark();
+                let attempts = retry.max_retries + 1;
+                if read {
                     self.fault_stats.read_failures += 1;
                     self.emit(StoreEvent::ReadFailed {
-                        session: sid.0,
-                        attempts: retry.max_retries + 1,
+                        session,
+                        attempts,
                         at: now,
                     });
-                    self.invalidate(sid);
-                    self.emit_occupancy(mark, now);
-                    return FetchOutcome {
-                        lookup: Lookup::Miss,
-                        transfers: Vec::new(),
-                        retries,
-                        backoff,
-                        degraded: Some(DegradeReason::ReadFailed),
-                    };
-                }
-                backoff += retry.backoff(retries);
-                self.fault_stats.read_retries += 1;
-                self.emit(StoreEvent::ReadRetry {
-                    session: sid.0,
-                    attempt: retries,
-                    at: now,
-                });
-                retries += 1;
-            }
-        }
-        // Integrity check over the saved KV metadata before handing the
-        // entry to the engine (corruption is stamped at save time, so it
-        // can surface from either tier).
-        if let Some(e) = self.entries.get(sid) {
-            if !e.integrity_ok(sid) {
-                let bytes = e.bytes;
-                let mark = self.trace_mark();
-                self.fault_stats.corruptions_detected += 1;
-                self.emit(StoreEvent::CorruptionDetected {
-                    session: sid.0,
-                    bytes,
-                    at: now,
-                });
-                self.invalidate(sid);
-                self.emit_occupancy(mark, now);
-                return FetchOutcome {
-                    lookup: Lookup::Miss,
-                    transfers: Vec::new(),
-                    retries,
-                    backoff,
-                    degraded: Some(DegradeReason::Corrupted),
-                };
-            }
-        }
-        let (lookup, transfers) = self.load_for_use(sid, now, queue);
-        FetchOutcome {
-            lookup,
-            transfers,
-            retries,
-            backoff,
-            degraded: None,
-        }
-    }
-
-    /// Fallible prefix consult: [`AttentionStore::load_prefix`] plus the
-    /// same injected read errors as
-    /// [`try_load_for_use`](AttentionStore::try_load_for_use). The read
-    /// dice roll when the session's own stored KV sits in a slow tier;
-    /// integrity checksums are a per-session-entry concept, so
-    /// corruption detection only fires under per-session keying.
-    pub fn try_load_prefix(
-        &mut self,
-        sid: SessionId,
-        ctx_tokens: u64,
-        now: Time,
-        queue: &QueueView,
-    ) -> PrefixOutcome {
-        let Some((seed, ssd, retry)) = self.fault_profile() else {
-            return PrefixOutcome::clean(self.load_prefix(sid, ctx_tokens, now, queue));
-        };
-        let mut retries = 0u32;
-        let mut backoff = Dur::ZERO;
-        if self.lookup(sid).is_slow_hit() && ssd.read_error_rate > 0.0 {
-            loop {
-                let key = self.next_fault_roll();
-                if dice(seed, FaultStream::Read, sid.0, key) >= ssd.read_error_rate {
-                    break;
-                }
-                if retries >= retry.max_retries {
-                    let mark = self.trace_mark();
-                    self.fault_stats.read_failures += 1;
-                    self.emit(StoreEvent::ReadFailed {
-                        session: sid.0,
-                        attempts: retry.max_retries + 1,
-                        at: now,
-                    });
-                    self.invalidate(sid);
-                    self.emit_occupancy(mark, now);
-                    return PrefixOutcome {
-                        prefix: crate::PrefixMatch::miss(),
-                        retries,
-                        backoff,
-                        degraded: Some(DegradeReason::ReadFailed),
-                    };
-                }
-                backoff += retry.backoff(retries);
-                self.fault_stats.read_retries += 1;
-                self.emit(StoreEvent::ReadRetry {
-                    session: sid.0,
-                    attempt: retries,
-                    at: now,
-                });
-                retries += 1;
-            }
-        }
-        if let Some(e) = self.entries.get(sid) {
-            if !e.integrity_ok(sid) {
-                let bytes = e.bytes;
-                let mark = self.trace_mark();
-                self.fault_stats.corruptions_detected += 1;
-                self.emit(StoreEvent::CorruptionDetected {
-                    session: sid.0,
-                    bytes,
-                    at: now,
-                });
-                self.invalidate(sid);
-                self.emit_occupancy(mark, now);
-                return PrefixOutcome {
-                    prefix: crate::PrefixMatch::miss(),
-                    retries,
-                    backoff,
-                    degraded: Some(DegradeReason::Corrupted),
-                };
-            }
-        }
-        let prefix = self.load_prefix(sid, ctx_tokens, now, queue);
-        PrefixOutcome {
-            prefix,
-            retries,
-            backoff,
-            degraded: None,
-        }
-    }
-
-    /// Fallible save: [`AttentionStore::save`] plus injected write errors
-    /// retried with exponential backoff. An exhausted save drops the
-    /// session's (stale) entry entirely — its next turn re-prefills.
-    pub fn try_save(
-        &mut self,
-        sid: SessionId,
-        total_bytes: u64,
-        total_tokens: u64,
-        now: Time,
-        queue: &QueueView,
-    ) -> SaveOutcome {
-        let Some((seed, ssd, retry)) = self.fault_profile() else {
-            let (transfers, fitted) = self.save(sid, total_bytes, total_tokens, now, queue);
-            return SaveOutcome {
-                transfers,
-                fitted,
-                retries: 0,
-                backoff: Dur::ZERO,
-                failed: false,
-            };
-        };
-        let mut retries = 0u32;
-        let mut backoff = Dur::ZERO;
-        if ssd.write_error_rate > 0.0 {
-            loop {
-                let key = self.next_fault_roll();
-                if dice(seed, FaultStream::Write, sid.0, key) >= ssd.write_error_rate {
-                    break;
-                }
-                if retries >= retry.max_retries {
-                    let mark = self.trace_mark();
+                } else {
                     self.fault_stats.write_failures += 1;
                     self.emit(StoreEvent::WriteFailed {
-                        session: sid.0,
-                        attempts: retry.max_retries + 1,
+                        session,
+                        attempts,
                         at: now,
                     });
-                    // The stale pre-turn copy is useless now; drop it so
-                    // the next turn re-prefills from scratch.
-                    self.invalidate(sid);
-                    self.emit_occupancy(mark, now);
-                    return SaveOutcome {
-                        transfers: Vec::new(),
-                        fitted: false,
-                        retries,
-                        backoff,
-                        failed: true,
-                    };
                 }
-                backoff += retry.backoff(retries);
-                self.fault_stats.write_retries += 1;
-                self.emit(StoreEvent::WriteRetry {
-                    session: sid.0,
-                    attempt: retries,
+                // The KV is unreadable, or the stale pre-turn copy is
+                // useless now: drop it so the next turn re-prefills.
+                self.invalidate(sid);
+                self.emit_occupancy(mark, now);
+                return (retries, backoff, true);
+            }
+            backoff += retry.backoff(retries);
+            if read {
+                self.fault_stats.read_retries += 1;
+                self.emit(StoreEvent::ReadRetry {
+                    session,
+                    attempt,
                     at: now,
                 });
-                retries += 1;
+            } else {
+                self.fault_stats.write_retries += 1;
+                self.emit(StoreEvent::WriteRetry {
+                    session,
+                    attempt,
+                    at: now,
+                });
             }
-        }
-        let (transfers, fitted) = self.save(sid, total_bytes, total_tokens, now, queue);
-        SaveOutcome {
-            transfers,
-            fitted,
-            retries,
-            backoff,
-            failed: false,
+            retries += 1;
         }
     }
 
-    /// Fallible prefetch: [`AttentionStore::prefetch`] plus injected read
-    /// errors on the pass's disk reads. Prefetch reads never hard-fail —
-    /// the demand path revalidates on admission — so exhausting the
-    /// budget just caps the retries; the engine charges the extra link
-    /// occupancy and backoff.
-    pub fn try_prefetch(&mut self, now: Time, queue: &QueueView) -> PrefetchOutcome {
-        let Some((seed, ssd, retry)) = self.fault_profile() else {
-            return PrefetchOutcome {
-                transfers: self.prefetch(now, queue),
-                retries: 0,
-                backoff: Dur::ZERO,
-            };
-        };
-        let transfers = self.prefetch(now, queue);
-        let mut retries = 0u32;
-        let mut backoff = Dur::ZERO;
-        if ssd.read_error_rate > 0.0 {
-            for t in &transfers {
-                if !t.is_promotion() {
-                    continue;
-                }
-                let mut r = 0u32;
-                while r < retry.max_retries {
-                    let key = self.next_fault_roll();
-                    if dice(seed, FaultStream::Read, t.session.0, key) >= ssd.read_error_rate {
-                        break;
-                    }
-                    backoff += retry.backoff(r);
-                    self.fault_stats.read_retries += 1;
-                    self.emit(StoreEvent::ReadRetry {
-                        session: t.session.0,
-                        attempt: r,
-                        at: now,
-                    });
-                    r += 1;
-                }
-                retries += r;
-            }
+    /// The read gate in front of a demand fetch: slow-tier-resident KV
+    /// rides the slow read path and rolls the read dice per attempt, then
+    /// the saved metadata passes its integrity check. Returns the retries
+    /// and backoff to report, or — on exhausted retries or detected
+    /// corruption, after invalidating the KV — the degraded outcome.
+    /// Integrity checksums are a per-session-entry concept, so
+    /// corruption only surfaces under per-session keying.
+    pub(super) fn read_gate(
+        &mut self,
+        sid: SessionId,
+        now: Time,
+    ) -> Result<(u32, Dur), LoadOutcome> {
+        if self.faults.is_none() {
+            return Ok((0, Dur::ZERO));
         }
-        PrefetchOutcome {
-            transfers,
+        let degraded = |retries, backoff, reason| LoadOutcome {
             retries,
             backoff,
+            degraded: Some(reason),
+            ..LoadOutcome::miss()
+        };
+        let (mut retries, mut backoff) = (0, Dur::ZERO);
+        if self.lookup(sid).is_slow_hit() {
+            let failed;
+            (retries, backoff, failed) = self.attempt_io(FaultStream::Read, sid, now);
+            if failed {
+                return Err(degraded(retries, backoff, DegradeReason::ReadFailed));
+            }
         }
+        // Corruption is stamped at save time, so it can surface from any
+        // tier.
+        if let Some(e) = self.entries.get(sid) {
+            if !e.integrity_ok(sid) {
+                let bytes = e.bytes;
+                let mark = self.trace_mark();
+                self.fault_stats.corruptions_detected += 1;
+                self.emit(StoreEvent::CorruptionDetected {
+                    session: sid.0,
+                    bytes,
+                    at: now,
+                });
+                self.invalidate(sid);
+                self.emit_occupancy(mark, now);
+                return Err(degraded(retries, backoff, DegradeReason::Corrupted));
+            }
+        }
+        Ok((retries, backoff))
+    }
+
+    /// The write gate in front of a save: rolls the write dice per
+    /// attempt. Returns the retries and backoff to report, or — when the
+    /// retries ran out and the stale entry was dropped — the failed
+    /// outcome.
+    pub(super) fn write_gate(
+        &mut self,
+        sid: SessionId,
+        now: Time,
+    ) -> Result<(u32, Dur), SaveOutcome> {
+        let (retries, backoff, failed) = self.attempt_io(FaultStream::Write, sid, now);
+        if failed {
+            return Err(SaveOutcome {
+                transfers: Vec::new(),
+                fitted: false,
+                retries,
+                backoff,
+                failed: true,
+            });
+        }
+        Ok((retries, backoff))
+    }
+
+    /// Read retries of a prefetch pass's promotions. Prefetch reads never
+    /// hard-fail — the demand path revalidates on admission — so
+    /// exhausting the budget just caps the retries; the engine charges
+    /// the extra link occupancy and backoff.
+    pub(super) fn prefetch_read_retries(
+        &mut self,
+        now: Time,
+        transfers: &[Transfer],
+    ) -> (u32, Dur) {
+        let mut retries = 0u32;
+        let mut backoff = Dur::ZERO;
+        let Some((seed, ssd, retry)) = self.fault_profile() else {
+            return (retries, backoff);
+        };
+        if ssd.read_error_rate <= 0.0 {
+            return (retries, backoff);
+        }
+        for t in transfers {
+            if !t.is_promotion() {
+                continue;
+            }
+            let mut r = 0u32;
+            while r < retry.max_retries {
+                let key = self.next_fault_roll();
+                if dice(seed, FaultStream::Read, t.session.0, key) >= ssd.read_error_rate {
+                    break;
+                }
+                backoff += retry.backoff(r);
+                self.fault_stats.read_retries += 1;
+                self.emit(StoreEvent::ReadRetry {
+                    session: t.session.0,
+                    attempt: r,
+                    at: now,
+                });
+                r += 1;
+            }
+            retries += r;
+        }
+        (retries, backoff)
     }
 
     /// Applies a DRAM capacity pressure spike: squeezes DRAM residency
@@ -531,13 +423,13 @@ mod tests {
     }
 
     #[test]
-    fn no_plan_delegates_cleanly() {
+    fn no_plan_takes_the_clean_path() {
         let mut s = store();
         let q = QueueView::empty();
         let sid = SessionId(1);
-        let out = s.try_save(sid, 1_000_000, 100, Time::ZERO, &q);
+        let out = s.save(sid, 1_000_000, 100, Time::ZERO, &q);
         assert!(out.fitted && !out.failed && out.retries == 0);
-        let f = s.try_load_for_use(sid, Time::from_millis(1), &q);
+        let f = s.load(sid, u64::MAX, Time::from_millis(1), &q);
         assert_eq!(f.lookup, Lookup::Hit(TierId(0)));
         assert!(f.degraded.is_none() && f.retries == 0 && f.backoff == Dur::ZERO);
         assert_eq!(*s.fault_stats(), FaultStats::default());
@@ -560,8 +452,8 @@ mod tests {
         // Force the entry onto disk so the read path rolls the dice.
         s.apply_pressure(Time::ZERO, 1.0, &q);
         assert_eq!(s.lookup(sid), Lookup::Hit(TierId(1)));
-        let out = s.try_load_for_use(sid, Time::from_millis(5), &q);
-        assert_eq!(out.lookup, Lookup::Miss);
+        let out = s.load(sid, u64::MAX, Time::from_millis(5), &q);
+        assert_eq!((out.lookup, out.matched_tokens), (Lookup::Miss, 0));
         assert_eq!(out.degraded, Some(DegradeReason::ReadFailed));
         assert_eq!(
             out.retries,
@@ -579,8 +471,8 @@ mod tests {
         let sid = SessionId(9);
         s.set_faults(all_faults(0.0, 0.0, 1.0));
         s.save(sid, 1_000_000, 100, Time::ZERO, &q);
-        let out = s.try_load_for_use(sid, Time::from_millis(5), &q);
-        assert_eq!(out.lookup, Lookup::Miss);
+        let out = s.load(sid, u64::MAX, Time::from_millis(5), &q);
+        assert_eq!((out.lookup, out.matched_tokens), (Lookup::Miss, 0));
         assert_eq!(out.degraded, Some(DegradeReason::Corrupted));
         assert_eq!(s.fault_stats().corruptions_detected, 1);
         assert!(s.entry(sid).is_none());
@@ -593,7 +485,7 @@ mod tests {
         let sid = SessionId(4);
         s.save(sid, 500_000, 50, Time::ZERO, &q);
         s.set_faults(all_faults(0.0, 1.0, 0.0));
-        let out = s.try_save(sid, 1_000_000, 100, Time::from_millis(10), &q);
+        let out = s.save(sid, 1_000_000, 100, Time::from_millis(10), &q);
         assert!(out.failed && !out.fitted);
         assert_eq!(s.fault_stats().write_failures, 1);
         assert!(s.entry(sid).is_none(), "stale entry dropped on failed save");
@@ -644,9 +536,9 @@ mod tests {
             let mut log = Vec::new();
             for i in 0..50u64 {
                 let sid = SessionId(i % 10);
-                let sv = s.try_save(sid, 2_000_000, 200, Time::from_millis(i), &q);
+                let sv = s.save(sid, 2_000_000, 200, Time::from_millis(i), &q);
                 log.push((sv.retries, sv.failed));
-                let f = s.try_load_for_use(sid, Time::from_millis(i + 1), &q);
+                let f = s.load(sid, u64::MAX, Time::from_millis(i + 1), &q);
                 log.push((f.retries, f.degraded.is_some()));
             }
             (log, *s.fault_stats())

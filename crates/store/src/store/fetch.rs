@@ -1,14 +1,120 @@
-//! The read/write paths: save, demand fetch (with pinning) and the
-//! scheduler-aware look-ahead prefetcher (§3.3.1).
+//! The read/write paths: the store's three engine-facing operations —
+//! consult ([`AttentionStore::load`]), [`AttentionStore::save`] and the
+//! scheduler-aware look-ahead [`AttentionStore::prefetch`] (§3.3.1) —
+//! and their per-session bodies. Each operation passes its fault gate
+//! (`faults.rs`), then dispatches on the keying mode.
 
 use sim::Time;
 
 use crate::events::{FetchKind, StoreEvent};
-use crate::{Entry, QueueView, SessionId, TierId};
+use crate::{Entry, KeyingMode, QueueView, SessionId, TierId};
 
-use super::{AttentionStore, Lookup, Transfer};
+use super::{AttentionStore, LoadOutcome, Lookup, PrefetchOutcome, SaveOutcome, Transfer};
 
 impl AttentionStore {
+    /// Consults the store for `sid`'s next `ctx_tokens` of context:
+    /// matches the longest stored prefix, pins it and stages it to tier 0
+    /// (demand promotion), returning where it was found, how many tokens
+    /// matched and the transfers to charge.
+    ///
+    /// Under per-session keying the only matchable prefix is the
+    /// session's own history, so `matched_tokens = min(cached,
+    /// ctx_tokens)` on a hit. Under content-addressed keying the context
+    /// is matched against every session's blocks (see
+    /// [`crate::KeyingMode`]).
+    ///
+    /// With a fault plan installed, slow-tier reads may be retried (the
+    /// outcome reports retries and backoff) or abandoned: on exhausted
+    /// retries or a failed integrity check the KV is invalidated and the
+    /// outcome is a [`Lookup::Miss`] with a
+    /// [`DegradeReason`](crate::DegradeReason) — the caller re-prefills
+    /// instead of aborting.
+    pub fn load(
+        &mut self,
+        sid: SessionId,
+        ctx_tokens: u64,
+        now: Time,
+        queue: &QueueView,
+    ) -> LoadOutcome {
+        let (retries, backoff) = match self.read_gate(sid, now) {
+            Ok(gate) => gate,
+            Err(degraded) => return degraded,
+        };
+        let out = if self.cfg.keying == KeyingMode::ContentAddressed {
+            sim::scope!("store.prefix_match");
+            self.ca_load_prefix(sid, ctx_tokens, now, queue)
+        } else {
+            self.load_entry(sid, ctx_tokens, now, queue)
+        };
+        LoadOutcome {
+            retries,
+            backoff,
+            ..out
+        }
+    }
+
+    /// Saves (or updates) `sid`'s KV cache: `total_bytes` for
+    /// `total_tokens`, landing in tier 0. Returns the demotion transfers
+    /// made to fit it and whether the save fit.
+    ///
+    /// Updating an existing entry reallocates it at the new size; an
+    /// entry previously demoted below tier 0 is re-homed in tier 0 (the
+    /// fresh copy just came from HBM, so no slow-tier read is charged).
+    /// With a fault plan installed, write errors are retried with
+    /// exponential backoff; an exhausted save drops the session's (stale)
+    /// KV entirely — its next turn re-prefills.
+    pub fn save(
+        &mut self,
+        sid: SessionId,
+        total_bytes: u64,
+        total_tokens: u64,
+        now: Time,
+        queue: &QueueView,
+    ) -> SaveOutcome {
+        let (retries, backoff) = match self.write_gate(sid, now) {
+            Ok(gate) => gate,
+            Err(failed) => return failed,
+        };
+        sim::scope!("store.save");
+        let (transfers, fitted) = if self.cfg.keying == KeyingMode::ContentAddressed {
+            self.ca_save(sid, total_bytes, total_tokens, now, queue)
+        } else {
+            self.save_entry(sid, total_bytes, total_tokens, now, queue)
+        };
+        SaveOutcome {
+            transfers,
+            fitted,
+            retries,
+            backoff,
+            failed: false,
+        }
+    }
+
+    /// Runs the look-ahead prefetcher (§3.3.1): promotes slow-tier KV of
+    /// queued sessions within `L_pw` into free tier-0 space, then
+    /// restores the tier-0 reserve by demoting cold entries.
+    ///
+    /// No-op for history-only policies (LRU/FIFO cannot see the queue).
+    /// With a fault plan installed, the pass's disk reads roll the read
+    /// dice; they never hard-fail (the demand path revalidates on
+    /// admission), so the outcome only reports retries and backoff.
+    pub fn prefetch(&mut self, now: Time, queue: &QueueView) -> PrefetchOutcome {
+        let transfers = {
+            sim::scope!("store.prefetch");
+            if self.cfg.keying == KeyingMode::ContentAddressed {
+                self.ca_prefetch(now, queue)
+            } else {
+                self.prefetch_entries(now, queue)
+            }
+        };
+        let (retries, backoff) = self.prefetch_read_retries(now, &transfers);
+        PrefetchOutcome {
+            transfers,
+            retries,
+            backoff,
+        }
+    }
+
     /// Pushes the chain of adjacent-tier hops that stage `sid`'s bytes
     /// from `from` up to tier 0: `(from → from-1), ..., (1 → 0)`.
     pub(super) fn push_promotion_hops(
@@ -27,14 +133,9 @@ impl AttentionStore {
         }
     }
 
-    /// Saves (or updates) `sid`'s KV cache: `total_bytes` for
-    /// `total_tokens`, landing in tier 0. Returns the demotion transfers
-    /// made to fit it and whether the save succeeded.
-    ///
-    /// Updating an existing entry reallocates it at the new size; an
-    /// entry previously demoted below tier 0 is re-homed in tier 0 (the
-    /// fresh copy just came from HBM, so no slow-tier read is charged).
-    pub fn save(
+    /// Per-session [`save`](AttentionStore::save): returns the demotion
+    /// transfers made to fit the entry and whether it fit.
+    fn save_entry(
         &mut self,
         sid: SessionId,
         total_bytes: u64,
@@ -42,10 +143,6 @@ impl AttentionStore {
         now: Time,
         queue: &QueueView,
     ) -> (Vec<Transfer>, bool) {
-        sim::scope!("store.save");
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
-            return self.ca_save(sid, total_bytes, total_tokens, now, queue);
-        }
         let mut transfers = Vec::new();
         let mark = self.trace_mark();
         // Free the stale copy first; the engine holds the bytes in HBM.
@@ -140,21 +237,23 @@ impl AttentionStore {
         None
     }
 
-    /// Brings `sid`'s KV into tier 0 for use and pins it.
-    ///
-    /// Returns where the KV was found plus any transfers (the demand
-    /// promotion hops and the demotions that made room). Returns
-    /// `(Lookup::Miss, vec![])` when the session has no cached KV.
-    pub fn load_for_use(
+    /// Per-session [`load`](AttentionStore::load): brings `sid`'s entry
+    /// into tier 0 for use and pins it. The outcome carries where it was
+    /// found, `min(cached, ctx_tokens)` matched tokens and the transfers
+    /// (the demand promotion hops and the demotions that made room); a
+    /// session with no cached KV is a clean miss.
+    fn load_entry(
         &mut self,
         sid: SessionId,
+        ctx_tokens: u64,
         now: Time,
         queue: &QueueView,
-    ) -> (Lookup, Vec<Transfer>) {
+    ) -> LoadOutcome {
         sim::scope!("store.fetch");
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
-            return self.ca_load_for_use(sid, now, queue);
-        }
+        let matched = self
+            .entries
+            .get(sid)
+            .map_or(0, |e| e.tokens.min(ctx_tokens));
         let found = self.lookup(sid);
         let mark = self.trace_mark();
         match found {
@@ -207,7 +306,7 @@ impl AttentionStore {
             }
         }
         self.emit_occupancy(mark, now);
-        (found, transfers)
+        LoadOutcome::clean(found, matched, transfers)
     }
 
     /// Moves `sid`'s entry into freshly allocated tier-0 blocks, stamped
@@ -240,50 +339,14 @@ impl AttentionStore {
     /// entry has since been evicted/invalidated (e.g. crash recovery
     /// releasing pins for jobs that never reached their save) is a no-op.
     pub fn unpin(&mut self, sid: SessionId) {
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
+        if self.cfg.keying == KeyingMode::ContentAddressed {
             return self.ca_unpin(sid);
         }
         self.entries.update(sid, |e| e.pinned = false);
     }
 
-    /// Longest-prefix match of `sid`'s next context against the stored
-    /// KV, pinning and staging what matched (see
-    /// [`crate::PrefixMatch`]). Under per-session keying this reduces to
-    /// [`load_for_use`](AttentionStore::load_for_use) — the only
-    /// matchable prefix is the session's own history.
-    pub fn load_prefix(
-        &mut self,
-        sid: SessionId,
-        ctx_tokens: u64,
-        now: Time,
-        queue: &QueueView,
-    ) -> crate::PrefixMatch {
-        sim::scope!("store.prefix_match");
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
-            return self.ca_load_prefix(sid, ctx_tokens, now, queue);
-        }
-        let matched = self
-            .entries
-            .get(sid)
-            .map_or(0, |e| e.tokens.min(ctx_tokens));
-        let (lookup, transfers) = self.load_for_use(sid, now, queue);
-        crate::PrefixMatch {
-            matched_tokens: if lookup == Lookup::Miss { 0 } else { matched },
-            lookup,
-            transfers,
-        }
-    }
-
-    /// Runs the look-ahead prefetcher (§3.3.1): promotes slow-tier KV of
-    /// queued sessions within `L_pw` into free tier-0 space, then
-    /// restores the tier-0 reserve by demoting cold entries.
-    ///
-    /// No-op for history-only policies (LRU/FIFO cannot see the queue).
-    pub fn prefetch(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
-        sim::scope!("store.prefetch");
-        if self.cfg.keying == crate::KeyingMode::ContentAddressed {
-            return self.ca_prefetch(now, queue);
-        }
+    /// Per-session [`prefetch`](AttentionStore::prefetch) pass.
+    fn prefetch_entries(&mut self, now: Time, queue: &QueueView) -> Vec<Transfer> {
         if !self.policy.wants_prefetch() {
             return Vec::new();
         }

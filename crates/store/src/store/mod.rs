@@ -13,8 +13,11 @@
 //! - [`placement`]: per-session tier placement — victim selection,
 //!   hop-by-hop demotion, eviction, reserve maintenance and entry
 //!   lifecycle (truncate / invalidate / expire);
-//! - [`fetch`]: the per-session read/write paths — save, demand fetch
-//!   and the scheduler-aware look-ahead prefetcher;
+//! - [`fetch`]: the engine-facing operations — consult (`load`), `save`
+//!   and the scheduler-aware look-ahead `prefetch` — and their
+//!   per-session bodies;
+//! - [`faults`]: the fault gates those operations pass first (read and
+//!   write retries, integrity checks) and DRAM pressure;
 //! - [`shared`]: the content-addressed block ledger — chunk chains,
 //!   prefix-trie lookup, copy-on-divergence and refcounted eviction;
 //! - [`ledger`]: the ledger's state and its per-tier victim orders,
@@ -37,10 +40,7 @@ mod shared;
 #[cfg(test)]
 mod tests;
 
-pub use faults::{
-    DegradeReason, FaultStats, FetchOutcome, PrefetchOutcome, PrefixOutcome, SaveOutcome,
-};
-pub use shared::PrefixMatch;
+pub use faults::{DegradeReason, FaultStats, LoadOutcome, PrefetchOutcome, SaveOutcome};
 
 use models::TierStack;
 use serde::{Deserialize, Serialize};
@@ -251,11 +251,12 @@ pub struct StoreStats {
 /// let mut store = AttentionStore::new(StoreConfig::default());
 /// let queue = QueueView::empty();
 /// // A finished conversation turn saves its session's KV cache.
-/// let (_, saved) = store.save(SessionId(7), 1_500_000_000, 1_900, Time::ZERO, &queue);
-/// assert!(saved);
-/// // The session resumes: its KV is found in the fast tier and pinned.
-/// let (found, _) = store.load_for_use(SessionId(7), Time::from_millis(60_000), &queue);
-/// assert_eq!(found, Lookup::Hit(TierId(0)));
+/// assert!(store.save(SessionId(7), 1_500_000_000, 1_900, Time::ZERO, &queue).fitted);
+/// // The session resumes with its 1,900-token history: the KV is found
+/// // in the fast tier and pinned.
+/// let found = store.load(SessionId(7), 1_900, Time::from_millis(60_000), &queue);
+/// assert_eq!(found.lookup, Lookup::Hit(TierId(0)));
+/// assert_eq!(found.matched_tokens, 1_900);
 /// ```
 pub struct AttentionStore {
     cfg: StoreConfig,
@@ -270,8 +271,8 @@ pub struct AttentionStore {
     stats: StoreStats,
     /// Drainable event buffer; `None` = tracing off (zero cost).
     trace: Option<StoreEventLog>,
-    /// Installed fault plan; `None` = fault-free (the `try_*` APIs then
-    /// delegate verbatim to the infallible paths).
+    /// Installed fault plan; `None` = fault-free (the fault gates then
+    /// return at once).
     faults: Option<sim::FaultPlan>,
     /// Fault-path statistics (separate from [`StoreStats`], which is
     /// embedded in the golden-pinned run reports).

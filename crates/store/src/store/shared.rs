@@ -34,32 +34,7 @@ use crate::chain::{ContentKey, DedupStats};
 use crate::events::{FetchKind, StoreEvent};
 use crate::{QueueView, SessionId, TierId};
 
-use super::{AttentionStore, Lookup, Transfer};
-
-/// Result of a content-addressed prefix consult.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrefixMatch {
-    /// Tokens of the requested context covered by stored blocks (the
-    /// engine prefills only the unmatched tail).
-    pub matched_tokens: u64,
-    /// Where the deepest matched block was found (`Miss` when nothing
-    /// matched).
-    pub lookup: Lookup,
-    /// Adjacent-tier hops to charge (promotions of matched blocks plus
-    /// any demotions that made room for them).
-    pub transfers: Vec<Transfer>,
-}
-
-impl PrefixMatch {
-    /// A match of nothing.
-    pub fn miss() -> Self {
-        PrefixMatch {
-            matched_tokens: 0,
-            lookup: Lookup::Miss,
-            transfers: Vec::new(),
-        }
-    }
-}
+use super::{AttentionStore, LoadOutcome, Lookup, Transfer};
 
 /// The look-ahead state of one store call: the queue it was made with,
 /// plus the working sets derived from it (which slots the sessions at
@@ -574,7 +549,7 @@ impl AttentionStore {
         ctx_tokens: u64,
         now: Time,
         queue: &QueueView,
-    ) -> PrefixMatch {
+    ) -> LoadOutcome {
         sim::scope!("store.trie_probe");
         // A consult replaces any pins left by a previous one.
         self.ca_unpin(sid);
@@ -610,7 +585,7 @@ impl AttentionStore {
                 at: now,
             });
             self.emit_occupancy(mark, now);
-            return PrefixMatch::miss();
+            return LoadOutcome::miss();
         }
 
         let matched_bytes: u64 = matched.iter().map(|&s| self.shared.node(s).bytes).sum();
@@ -688,33 +663,7 @@ impl AttentionStore {
             });
         }
         self.emit_occupancy(mark, now);
-        PrefixMatch {
-            matched_tokens,
-            lookup: Lookup::Hit(deepest),
-            transfers,
-        }
-    }
-
-    /// `load_for_use` in content-addressed mode: stage the session's own
-    /// stored chain (cross-session matching needs the context length,
-    /// which only [`ca_load_prefix`](Self::ca_load_prefix) receives).
-    pub(super) fn ca_load_for_use(
-        &mut self,
-        sid: SessionId,
-        now: Time,
-        queue: &QueueView,
-    ) -> (Lookup, Vec<Transfer>) {
-        let Some(tokens) = self.ca_tokens(sid) else {
-            let mark = self.trace_mark();
-            self.emit(StoreEvent::FetchMiss {
-                session: sid.0,
-                at: now,
-            });
-            self.emit_occupancy(mark, now);
-            return (Lookup::Miss, Vec::new());
-        };
-        let m = self.ca_load_prefix(sid, tokens, now, queue);
-        (m.lookup, m.transfers)
+        LoadOutcome::clean(Lookup::Hit(deepest), matched_tokens, transfers)
     }
 
     pub(super) fn ca_unpin(&mut self, sid: SessionId) {

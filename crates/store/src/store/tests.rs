@@ -3,7 +3,7 @@ use sim::{Dur, Time};
 
 use crate::{PolicyKind, QueueView, SessionId, TierId};
 
-use super::{AttentionStore, Lookup, StoreConfig};
+use super::{AttentionStore, LoadOutcome, Lookup, SaveOutcome, StoreConfig};
 
 const MB: u64 = 1_000_000;
 
@@ -27,10 +27,18 @@ fn sid(n: u64) -> SessionId {
 fn save_then_load_hits_dram() {
     let mut s = small_store(PolicyKind::SchedulerAware);
     let q = QueueView::empty();
-    let (t, ok) = s.save(sid(1), 3 * MB, 100, Time::ZERO, &q);
+    let SaveOutcome {
+        transfers: t,
+        fitted: ok,
+        ..
+    } = s.save(sid(1), 3 * MB, 100, Time::ZERO, &q);
     assert!(ok && t.is_empty());
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
-    let (found, t) = s.load_for_use(sid(1), Time::from_millis(5), &q);
+    let LoadOutcome {
+        lookup: found,
+        transfers: t,
+        ..
+    } = s.load(sid(1), u64::MAX, Time::from_millis(5), &q);
     assert_eq!(found, Lookup::Hit(TierId(0)));
     assert!(t.is_empty());
     assert!(s.entry(sid(1)).unwrap().pinned);
@@ -45,7 +53,7 @@ fn unpin_is_idempotent_and_tolerates_evicted_sessions() {
     // Never-saved session: unpin must be a no-op, not a panic.
     s.unpin(sid(42));
     s.save(sid(1), 3 * MB, 100, Time::ZERO, &q);
-    let _ = s.load_for_use(sid(1), Time::from_millis(5), &q);
+    let _ = s.load(sid(1), u64::MAX, Time::from_millis(5), &q);
     assert!(s.entry(sid(1)).unwrap().pinned);
     // Double-unpin is fine.
     s.unpin(sid(1));
@@ -62,7 +70,11 @@ fn unpin_is_idempotent_and_tolerates_evicted_sessions() {
 fn miss_for_unknown_session() {
     let mut s = small_store(PolicyKind::SchedulerAware);
     assert_eq!(s.lookup(sid(9)), Lookup::Miss);
-    let (found, t) = s.load_for_use(sid(9), Time::ZERO, &QueueView::empty());
+    let LoadOutcome {
+        lookup: found,
+        transfers: t,
+        ..
+    } = s.load(sid(9), u64::MAX, Time::ZERO, &QueueView::empty());
     assert_eq!(found, Lookup::Miss);
     assert!(t.is_empty());
 }
@@ -76,7 +88,11 @@ fn dram_pressure_demotes_to_disk() {
         s.save(sid(i), 3 * MB, 100, Time::from_millis(t_ms), &q);
     }
     // A fourth needs room: LRU demotes session 1.
-    let (transfers, ok) = s.save(sid(4), 3 * MB, 100, Time::from_millis(30), &q);
+    let SaveOutcome {
+        transfers,
+        fitted: ok,
+        ..
+    } = s.save(sid(4), 3 * MB, 100, Time::from_millis(30), &q);
     assert!(ok);
     assert_eq!(transfers.len(), 1);
     assert_eq!(transfers[0].session, sid(1));
@@ -116,7 +132,11 @@ fn disk_hit_promotes_through_dram() {
         s.save(sid(i), 3 * MB, 100, Time::from_millis(i), &q);
     }
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
-    let (found, transfers) = s.load_for_use(sid(1), Time::from_millis(99), &q);
+    let LoadOutcome {
+        lookup: found,
+        transfers,
+        ..
+    } = s.load(sid(1), u64::MAX, Time::from_millis(99), &q);
     assert_eq!(found, Lookup::Hit(TierId(1)));
     // Promotion evicted someone and brought session 1 up.
     assert!(transfers
@@ -130,10 +150,14 @@ fn pinned_entries_are_never_victims() {
     let mut s = small_store(PolicyKind::Lru);
     let q = QueueView::empty();
     s.save(sid(1), 5 * MB, 100, Time::ZERO, &q);
-    s.load_for_use(sid(1), Time::from_millis(1), &q);
+    s.load(sid(1), u64::MAX, Time::from_millis(1), &q);
     // Saving 6 MB would need to demote session 1, but it is pinned, so
     // there is no DRAM candidate: the save spills to disk instead.
-    let (transfers, ok) = s.save(sid(2), 6 * MB, 100, Time::from_millis(2), &q);
+    let SaveOutcome {
+        transfers,
+        fitted: ok,
+        ..
+    } = s.save(sid(2), 6 * MB, 100, Time::from_millis(2), &q);
     assert!(ok);
     assert_eq!(s.stats().spills_to_disk, 1);
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
@@ -142,7 +166,7 @@ fn pinned_entries_are_never_victims() {
         .iter()
         .any(|t| t.session == sid(2) && t.is_demotion()));
     // A session larger than the whole hierarchy is still rejected.
-    let (_, ok) = s.save(sid(3), 50 * MB, 100, Time::from_millis(3), &q);
+    let SaveOutcome { fitted: ok, .. } = s.save(sid(3), 50 * MB, 100, Time::from_millis(3), &q);
     assert!(!ok);
     assert_eq!(s.stats().save_rejected, 1);
 }
@@ -157,7 +181,7 @@ fn scheduler_aware_prefetch_pulls_queued_sessions_up() {
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
     // Session 1 is waiting in the queue: prefetch promotes it.
     let queue = QueueView::new(&[sid(1)]);
-    let transfers = s.prefetch(Time::from_millis(50), &queue);
+    let transfers = s.prefetch(Time::from_millis(50), &queue).transfers;
     assert!(transfers
         .iter()
         .any(|t| t.session == sid(1) && t.is_promotion()));
@@ -173,7 +197,10 @@ fn lru_and_fifo_never_prefetch() {
             s.save(sid(i), 3 * MB, 100, Time::from_millis(i), &q);
         }
         let queue = QueueView::new(&[sid(1)]);
-        assert!(s.prefetch(Time::from_millis(50), &queue).is_empty());
+        assert!(s
+            .prefetch(Time::from_millis(50), &queue)
+            .transfers
+            .is_empty());
         assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
     }
 }
@@ -285,7 +312,7 @@ fn demand_fetch_never_evicts_its_own_session() {
     assert_eq!(s.lookup(sid(3)), Lookup::Hit(TierId(1)));
     // Demand-fetching s1 demotes s2, which needs disk room; the LRU
     // disk victim would be s1 itself — it must be exempt.
-    let (found, _) = s.load_for_use(sid(1), Time::from_millis(3), &q);
+    let LoadOutcome { lookup: found, .. } = s.load(sid(1), u64::MAX, Time::from_millis(3), &q);
     assert_eq!(found, Lookup::Hit(TierId(1)));
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(0)));
     assert_eq!(s.lookup(sid(3)), Lookup::Miss);
@@ -303,7 +330,7 @@ fn duplicate_queue_entries_prefetch_once() {
     }
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
     let queue = QueueView::new(&[sid(1), sid(1), sid(1)]);
-    let transfers = s.prefetch(Time::from_millis(50), &queue);
+    let transfers = s.prefetch(Time::from_millis(50), &queue).transfers;
     let promotions = transfers
         .iter()
         .filter(|t| t.session == sid(1) && t.is_promotion())
@@ -346,7 +373,7 @@ fn owner_attributed_views_tag_store_events() {
     assert_eq!(s.lookup(sid(1)), Lookup::Hit(TierId(1)));
     // Session 1 queued on instance 2, session 2 on instance 0.
     let queue = QueueView::with_owners(&[sid(1), sid(2)], &[2, 0]);
-    let transfers = s.prefetch(Time::from_millis(50), &queue);
+    let transfers = s.prefetch(Time::from_millis(50), &queue).transfers;
     assert!(transfers
         .iter()
         .any(|t| t.session == sid(1) && t.is_promotion()));
@@ -531,7 +558,7 @@ mod ledger_oracle {
                         s.save(sid, tokens * BPT, tokens, now, &q);
                     }
                     3 => {
-                        let _ = s.load_prefix(sid, tokens, now, &q);
+                        let _ = s.load(sid, tokens, now, &q);
                     }
                     4 => s.unpin(sid),
                     5 => s.truncate(sid, tokens * BPT / 2, tokens / 2),
@@ -658,7 +685,7 @@ mod entry_oracle {
                         s.save(sid, mb * MB, mb * 100, now, &q);
                     }
                     3 => {
-                        let _ = s.load_for_use(sid, now, &q);
+                        let _ = s.load(sid, u64::MAX, now, &q);
                     }
                     4 => s.unpin(sid),
                     5 => s.truncate(sid, mb * MB / 2, mb * 50),

@@ -84,7 +84,7 @@ fn apply_op(s: &mut AttentionStore, op: u64, n: u64, tokens: u64, step: usize) {
         }
         2 => {
             s.register_content(sid(n), pooled_key(n));
-            let _ = s.load_prefix(sid(n), tokens, now, &q);
+            let _ = s.load(sid(n), tokens, now, &q);
         }
         3 => s.unpin(sid(n)),
         4 => s.invalidate(sid(n)),
@@ -198,7 +198,7 @@ fn divergence_never_mutates_shared_blocks() {
     s.validate_blocks().expect("ledger sound after divergence");
 
     // a is untouched: the full 512-token prefix still matches.
-    let m = s.load_prefix(a, 512, Time::from_millis(2), &q);
+    let m = s.load(a, 512, Time::from_millis(2), &q);
     assert_eq!(m.matched_tokens, 512, "divergence mutated a shared chain");
     assert_ne!(m.lookup, Lookup::Miss);
     s.unpin(a);
@@ -217,7 +217,7 @@ fn pinned_chains_survive_capacity_pressure() {
     s.register_content(a, pooled_key(0));
     s.save(a, 512 * BPT, 512, Time::ZERO, &q);
     // Consult pins a's whole chain in tier 0.
-    let m = s.load_prefix(a, 512, Time::from_millis(1), &q);
+    let m = s.load(a, 512, Time::from_millis(1), &q);
     assert_eq!(m.matched_tokens, 512);
     assert_eq!(m.lookup, Lookup::Hit(TierId(0)));
 
@@ -283,7 +283,7 @@ fn a_save_never_releases_its_own_chain() {
     s.save(a, 200 * BPT, 200, Time::ZERO, &q);
     // a's consult makes it the least recently used session, and its pin
     // keeps the storm below from releasing it.
-    let _ = s.load_prefix(a, 200, Time::from_millis(1), &q);
+    let _ = s.load(a, 200, Time::from_millis(1), &q);
     for i in 1..=20 {
         s.save(sid(100 + i), 384 * BPT, 384, Time::from_millis(1 + i), &q);
     }

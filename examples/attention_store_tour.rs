@@ -35,15 +35,15 @@ fn main() {
 
     // Saving sessions fills DRAM first, then demotes the coldest to SSD.
     for i in 0..10u64 {
-        let (transfers, ok) = store.save(
+        let saved = store.save(
             SessionId(i),
             2 * GB,
             2_500,
             Time::from_secs_f64(i as f64),
             &empty,
         );
-        assert!(ok);
-        for t in &transfers {
+        assert!(saved.fitted);
+        for t in &saved.transfers {
             println!(
                 "  save {} demoted {} ({} GB) to disk",
                 i,
@@ -60,6 +60,7 @@ fn main() {
     let queue = QueueView::new(&[SessionId(1), SessionId(2)]);
     let fetched = store.prefetch(Time::from_secs_f64(20.0), &queue);
     let promoted: Vec<u64> = fetched
+        .transfers
         .iter()
         .filter(|t| t.is_promotion())
         .map(|t| t.session.0)
@@ -67,9 +68,11 @@ fn main() {
     println!("prefetched from disk: {promoted:?}");
     assert_eq!(store.lookup(SessionId(1)), Lookup::Hit(TierId(0)));
 
-    // Demand access pins the entry; saving the grown KV replaces it.
-    let (found, _) = store.load_for_use(SessionId(1), Time::from_secs_f64(21.0), &queue);
-    assert_eq!(found, Lookup::Hit(TierId(0)));
+    // Demand access matches the session's 2,500-token history and pins
+    // the entry; saving the grown KV replaces it.
+    let found = store.load(SessionId(1), 2_500, Time::from_secs_f64(21.0), &queue);
+    assert_eq!(found.lookup, Lookup::Hit(TierId(0)));
+    assert_eq!(found.matched_tokens, 2_500);
     store.save(
         SessionId(1),
         2 * GB + GB / 2,

@@ -37,6 +37,24 @@ impl Args {
                 .map_err(|_| format!("invalid value for {name}: {v}")),
         }
     }
+
+    /// [`get_parse`](Args::get_parse) for a number that must satisfy
+    /// `ok`: values outside the flag's `domain` are usage errors, before
+    /// they can panic a constructor or be cast into nonsense.
+    fn get_checked(
+        &self,
+        name: &str,
+        default: f64,
+        ok: fn(f64) -> bool,
+        domain: &str,
+    ) -> Result<f64, String> {
+        let v: f64 = self.get_parse(name, default)?;
+        if ok(v) {
+            Ok(v)
+        } else {
+            Err(format!("{name} must be {domain}, got {v}"))
+        }
+    }
 }
 
 fn model_by_name(name: &str) -> Result<ModelSpec, String> {
@@ -76,7 +94,8 @@ fn load_or_generate_trace(args: &Args) -> Result<Trace, String> {
         return Trace::from_json(&json).map_err(|e| format!("parse {path}: {e}"));
     }
     let sessions: usize = args.get_parse("--sessions", 300)?;
-    let rate: f64 = args.get_parse("--rate", 1.0)?;
+    let positive = |r: f64| r > 0.0 && r.is_finite();
+    let rate = args.get_checked("--rate", 1.0, positive, "positive and finite")?;
     let seed: u64 = args.get_parse("--seed", 42)?;
     let profile = ShareGptProfile::default().with_arrival_rate(rate);
     Ok(Generator::new(profile, seed).trace(sessions))
@@ -87,17 +106,24 @@ fn build_config(args: &Args, mode: Mode, model: ModelSpec) -> Result<EngineConfi
     if let Some(p) = args.get("--policy") {
         cfg.store.policy = policy_by_name(p)?;
     }
-    let dram_gb: f64 = args.get_parse("--dram-gb", cfg.store.dram_bytes() as f64 / 1e9)?;
-    let disk_tb: f64 = args.get_parse("--disk-tb", cfg.store.disk_bytes() as f64 / 1e12)?;
+    let capacity = |c: f64| c >= 0.0 && c.is_finite();
+    let domain = "non-negative and finite";
+    let dram_gb = args.get_checked(
+        "--dram-gb",
+        cfg.store.dram_bytes() as f64 / 1e9,
+        capacity,
+        domain,
+    )?;
+    let disk_tb = args.get_checked(
+        "--disk-tb",
+        cfg.store.disk_bytes() as f64 / 1e12,
+        capacity,
+        domain,
+    )?;
     cfg.store.set_dram_bytes((dram_gb * 1e9) as u64);
     cfg.store.set_disk_bytes((disk_tb * 1e12) as u64);
-    let compression: f64 = args.get_parse("--compression", 1.0)?;
-    if compression <= 0.0 || compression > 1.0 {
-        return Err(format!(
-            "--compression must be in (0, 1], got {compression}"
-        ));
-    }
-    cfg.kv_compression = compression;
+    let fraction = |c: f64| c > 0.0 && c <= 1.0;
+    cfg.kv_compression = args.get_checked("--compression", 1.0, fraction, "in (0, 1]")?;
     cfg.warmup_turns = args.get_parse("--warmup-turns", 0usize)?;
     Ok(cfg)
 }

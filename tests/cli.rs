@@ -107,3 +107,38 @@ fn invalid_compression_rejected() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("--compression"));
 }
+
+/// Runs `ca-sim run` with extra flags and returns its stderr, asserting
+/// that it failed.
+fn run_fails(extra: &[&str]) -> String {
+    let out = ca_sim()
+        .args(["run", "--sessions", "5"])
+        .args(extra)
+        .output()
+        .expect("run ca-sim");
+    assert!(!out.status.success(), "{extra:?} was accepted");
+    String::from_utf8(out.stderr).unwrap()
+}
+
+#[test]
+fn non_positive_rate_rejected() {
+    for rate in ["0", "-2", "NaN"] {
+        let stderr = run_fails(&["--rate", rate]);
+        assert!(
+            stderr.contains("error: --rate must be positive"),
+            "--rate {rate}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "--rate {rate}: {stderr}");
+    }
+}
+
+#[test]
+fn negative_capacity_rejected() {
+    for (flag, v) in [("--dram-gb", "-1"), ("--disk-tb", "NaN")] {
+        let stderr = run_fails(&[flag, v]);
+        assert!(
+            stderr.contains(&format!("error: {flag} must be non-negative")),
+            "{flag} {v}: {stderr}"
+        );
+    }
+}

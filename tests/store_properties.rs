@@ -82,12 +82,12 @@ proptest! {
             match op {
                 Op::Save { sid, bytes } => {
                     let tokens = bytes / MB;
-                    let (_, _) = store.save(SessionId(*sid), *bytes, tokens, now, &empty);
+                    store.save(SessionId(*sid), *bytes, tokens, now, &empty);
                 }
                 Op::Load { sid } => {
-                    let (found, _) = store.load_for_use(SessionId(*sid), now, &empty);
+                    let found = store.load(SessionId(*sid), u64::MAX, now, &empty);
                     // A hit means the entry exists afterwards, pinned.
-                    if found != Lookup::Miss {
+                    if found.lookup != Lookup::Miss {
                         prop_assert!(store.entry(SessionId(*sid)).unwrap().pinned);
                     }
                 }
@@ -153,14 +153,14 @@ proptest! {
         let empty = QueueView::empty();
         for (i, &sid) in sids.iter().enumerate() {
             let now = Time::from_secs_f64(i as f64);
-            let (transfers, saved) = store.save(SessionId(sid), 20 * MB, 20, now, &empty);
+            let out = store.save(SessionId(sid), 20 * MB, 20, now, &empty);
             if let Err(e) = store.validate_blocks() {
                 prop_assert!(false, "after save {i} of s{sid}: {e}");
             }
-            if saved {
+            if out.fitted {
                 prop_assert_eq!(store.lookup(SessionId(sid)), Lookup::Hit(TierId(0)));
             }
-            for t in transfers {
+            for t in out.transfers {
                 if t.is_demotion() {
                     // The victim moved down one hop (or was dropped later
                     // in the same call; it must not be back in tier 0).

@@ -101,15 +101,16 @@ proptest! {
             let mut hops = Vec::new();
             match op {
                 Op::Save { sid, bytes } => {
-                    let (transfers, _) = store.save(SessionId(*sid), *bytes, bytes / MB, now, &empty);
-                    hops = transfers;
+                    hops = store
+                        .save(SessionId(*sid), *bytes, bytes / MB, now, &empty)
+                        .transfers;
                     // A save replaces the entry; stop tracking its pin.
                     pinned.remove(sid);
                 }
                 Op::Load { sid } => {
-                    let (found, transfers) = store.load_for_use(SessionId(*sid), now, &empty);
-                    hops = transfers;
-                    if let Lookup::Hit(t) = found {
+                    let out = store.load(SessionId(*sid), u64::MAX, now, &empty);
+                    hops = out.transfers;
+                    if let Lookup::Hit(t) = out.lookup {
                         // `found` names the tier the KV was found in;
                         // the load stages it in tier 0 (or pins it in
                         // place when tier 0 cannot hold it).
@@ -131,7 +132,7 @@ proptest! {
                 }
                 Op::Prefetch { queue } => {
                     let q: Vec<SessionId> = queue.iter().map(|&s| SessionId(s)).collect();
-                    hops = store.prefetch(now, &QueueView::new(&q));
+                    hops = store.prefetch(now, &QueueView::new(&q)).transfers;
                 }
             }
             // Pool accounting, the per-tier victim orders and the byte
