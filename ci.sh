@@ -41,7 +41,10 @@
 #    get a wide band that only catches algorithmic collapses. The
 #    content-addressed shared-prefix preset (the only one that reaches
 #    the block ledger's victim picks) is diffed against
-#    BENCH_scale_shared.json the same way.
+#    BENCH_scale_shared.json the same way, and the overload preset
+#    (4,000 sessions on 16 instances at 8 arrivals/s: deep queues, so
+#    the merged queue view and the per-tick host cost dominate) against
+#    BENCH_scale_overload.json.
 #    REGEN_BENCH=1 regenerates these baselines too.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -184,16 +187,20 @@ else
         --baseline BENCH_profile.json >/dev/null
 fi
 
-echo "==> throughput gate (exp_scale vs BENCH_scale.json, BENCH_scale_shared.json)"
+echo "==> throughput gate (exp_scale vs BENCH_scale.json, BENCH_scale_shared.json, BENCH_scale_overload.json)"
+OVERLOAD=(--sessions 4000 --instances 16 --rate 8)
 if [[ "${REGEN_BENCH:-0}" == "1" ]]; then
     ./target/release/exp_scale --out BENCH_scale.json >/dev/null
     ./target/release/exp_scale --shared-prefix --out BENCH_scale_shared.json >/dev/null
-    echo "regenerated BENCH_scale.json and BENCH_scale_shared.json — review and commit the diff"
+    ./target/release/exp_scale "${OVERLOAD[@]}" --out BENCH_scale_overload.json >/dev/null
+    echo "regenerated BENCH_scale.json, BENCH_scale_shared.json and BENCH_scale_overload.json — review and commit the diff"
 else
     ./target/release/exp_scale --out "$SMOKE_DIR/scale.json" \
         --baseline BENCH_scale.json >/dev/null
     ./target/release/exp_scale --shared-prefix --out "$SMOKE_DIR/scale_shared.json" \
         --baseline BENCH_scale_shared.json >/dev/null
+    ./target/release/exp_scale "${OVERLOAD[@]}" --out "$SMOKE_DIR/scale_overload.json" \
+        --baseline BENCH_scale_overload.json >/dev/null
 fi
 
 echo "CI green."

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of the substrate crates: event queue
-//! throughput, AttentionStore operations, workload generation, cost-model
+//! throughput (heap and per-GPU lanes), AttentionStore operations, workload generation, cost-model
 //! evaluation and the tiny transformer's forward pass.
 //!
 //! These measure the *simulator's own* performance (events/sec, store
@@ -26,6 +26,40 @@ fn bench_event_queue(c: &mut Criterion) {
             }
             black_box(sum)
         })
+    });
+}
+
+/// The per-tick queue cost of a decode loop: 1,000 far-future entries
+/// (pending session arrivals) sit in the heap while 4 GPUs re-arm their
+/// next tick 10k times, once through per-GPU lanes and once through
+/// plain heap pushes. Both build the same 1,000-entry backlog first.
+fn bench_event_queue_lanes(c: &mut Criterion) {
+    fn rearm_10k(lanes: bool) -> u64 {
+        let mut q = EventQueue::new();
+        for i in 0..1_000u64 {
+            q.push(Time::from_nanos(1_000_000_000 + i * 7919), u64::MAX);
+        }
+        for gpu in 0..4u64 {
+            q.push(Time::from_nanos(gpu), gpu);
+        }
+        let mut sum = 0u64;
+        for _ in 0..10_000 {
+            let (at, gpu) = q.pop().expect("a GPU tick is always pending");
+            sum = sum.wrapping_add(gpu);
+            let next = at + Dur::from_nanos(17 + gpu * 5);
+            if lanes {
+                q.push_lane(gpu as usize, next, gpu);
+            } else {
+                q.push(next, gpu);
+            }
+        }
+        sum
+    }
+    c.bench_function("sim/event_queue_lanes", |b| {
+        b.iter(|| black_box(rearm_10k(black_box(true))))
+    });
+    c.bench_function("sim/event_queue_lanes_as_heap", |b| {
+        b.iter(|| black_box(rearm_10k(black_box(false))))
     });
 }
 
@@ -134,6 +168,7 @@ fn bench_tinyllm_forward(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_queue,
+    bench_event_queue_lanes,
     bench_rng,
     bench_store,
     bench_workload,

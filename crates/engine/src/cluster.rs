@@ -48,7 +48,16 @@ pub enum Ev {
     /// A session's next turn arrived (the user hit enter).
     TurnArrival(usize),
     /// An instance's GPU finished its current action (or should wake up).
-    GpuTick(u32),
+    /// Ticks carry the executor's tick generation at arming time; one
+    /// armed before the instance was drained (crash or scale-down) is
+    /// stale and dispatches as a no-op.
+    GpuTick {
+        /// The instance whose GPU ticks.
+        inst: u32,
+        /// [`Executor::tick_gen`](crate::exec::Executor::tick_gen) when
+        /// the tick was armed.
+        gen: u32,
+    },
     /// Periodic TTL sweep of the shared store.
     Sweep,
     /// A scripted instance crash fired (fault plan).
@@ -548,7 +557,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         loads.clear();
         loads.extend(self.instances.iter().map(|i| InstanceLoad {
             queued: i.sched.len(),
-            batch: i.exec.batch.len(),
+            batch: i.exec.batch().len(),
             alive: i.alive,
         }));
         let inst = self.router.route(self.sid(session).0, &loads);
@@ -764,7 +773,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         self.run_prefetch(now, inst);
         if self.instances[inst as usize].exec.gpu_action.is_none() {
             self.instances[inst as usize].exec.gpu_action = Some(Action::Sleep);
-            q.push(now, Ev::GpuTick(inst));
+            self.arm_tick(q, inst, now);
         }
     }
 
@@ -911,7 +920,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         };
         // KV still staging into the fast tier: decode meanwhile.
         if let Some(until) =
-            scheduler::data_ready_defer(now, staged, self.instances[i].exec.batch.is_empty())
+            scheduler::data_ready_defer(now, staged, self.instances[i].exec.batch().is_empty())
         {
             return Err(self.defer(now, job_idx, until));
         }
@@ -924,14 +933,14 @@ impl<O: EngineObserver> ClusterSim<O> {
             .kv_bytes(job.hist_tokens + job.user_tokens + job.resp_tokens);
         let reserved = self.instances[i].hbm.reserved_kv(
             &self.cfg.model,
-            &self.instances[i].exec.batch,
+            self.instances[i].exec.batch(),
             &self.jobs,
         );
         if !scheduler::hbm_fits(
             reserved,
             job_peak,
             self.instances[i].hbm.budget(),
-            self.instances[i].exec.batch.is_empty(),
+            self.instances[i].exec.batch().is_empty(),
         ) {
             // Decode until a job retires and frees HBM.
             return Err(self.defer(now, job_idx, now));
@@ -981,7 +990,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             }
             PrefillIssue::Monolithic => {
                 self.instances[i].exec.gpu_action = Some(Action::Prefill { job: job_idx });
-                q.push(now + total, Ev::GpuTick(inst));
+                self.arm_tick(q, inst, now + total);
                 false
             }
         };
@@ -1043,6 +1052,13 @@ impl<O: EngineObserver> ClusterSim<O> {
         until
     }
 
+    /// Arms `inst`'s next GPU tick at `at` in the instance's queue lane:
+    /// re-arming a GPU tick costs no heap push over every pending arrival.
+    fn arm_tick(&self, q: &mut EventQueue<Ev>, inst: u32, at: Time) {
+        let gen = self.instances[inst as usize].exec.tick_gen();
+        q.push_lane(inst as usize, at, Ev::GpuTick { inst, gen });
+    }
+
     /// Starts the next slice of a paused chunked prefill on `inst`.
     fn issue_chunk(
         &mut self,
@@ -1058,7 +1074,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             chunks_left,
             chunk_dur,
         });
-        q.push(now + chunk_dur, Ev::GpuTick(inst));
+        self.arm_tick(q, inst, now + chunk_dur);
     }
 
     /// Completes a prefill on `inst`: records TTFT (admission → first
@@ -1068,7 +1084,8 @@ impl<O: EngineObserver> ClusterSim<O> {
     fn complete_prefill(&mut self, now: Time, inst: u32, job_idx: usize) {
         let i = inst as usize;
         let job = &mut self.jobs[job_idx];
-        job.ctx_tokens = job.hist_tokens + job.user_tokens;
+        let ctx = job.hist_tokens + job.user_tokens;
+        job.ctx_tokens = ctx;
         job.decode_start = now;
         let (session, measured, computed) = (job.session, job.measured, job.computed_tokens);
         let deadline = job.deadline;
@@ -1090,7 +1107,7 @@ impl<O: EngineObserver> ClusterSim<O> {
             let bytes = self.cfg.stored_kv_bytes(computed);
             self.instances[i].plan.d2h_transfer(now, bytes);
         }
-        self.instances[i].exec.batch.push(job_idx);
+        self.instances[i].exec.join_batch(job_idx, ctx);
         self.obs.on_instance_event(
             inst,
             EngineEvent::prefill_done(self.sid(session).0, ttft, now),
@@ -1209,20 +1226,7 @@ impl<O: EngineObserver> ClusterSim<O> {
         // prefill recorded its admission — so their re-run is recovery
         // work, not a second measured turn.
         let admitted_from = orphans.len();
-        orphans.append(&mut self.instances[i].exec.batch);
-        if let Some((job, _, _)) = self.instances[i].exec.pending_chunk.take() {
-            if !orphans.contains(&job) {
-                orphans.push(job);
-            }
-        }
-        match self.instances[i].exec.gpu_action.take() {
-            Some(Action::Prefill { job }) | Some(Action::PrefillChunk { job, .. })
-                if !orphans.contains(&job) =>
-            {
-                orphans.push(job);
-            }
-            _ => {}
-        }
+        orphans.extend(self.instances[i].exec.drain());
         for (pos, j) in orphans.into_iter().enumerate() {
             let session = self.jobs[j].session;
             let sid = self.sid(session);
@@ -1266,7 +1270,7 @@ impl<O: EngineObserver> ClusterSim<O> {
                 .on_instance_event(to, EngineEvent::turn_rerouted(sid.0, inst, to, now));
             if self.instances[to as usize].exec.gpu_action.is_none() {
                 self.instances[to as usize].exec.gpu_action = Some(Action::Sleep);
-                q.push(now, Ev::GpuTick(to));
+                self.arm_tick(q, to, now);
             }
         }
     }
@@ -1397,30 +1401,28 @@ impl<O: EngineObserver> ClusterSim<O> {
         // Admission first: prefill of waiting jobs blocks decoding, which
         // is the continuous-batching behaviour the paper describes.
         if !self.instances[i].sched.is_empty()
-            && self.instances[i].exec.batch.len() < self.cfg.max_batch
+            && self.instances[i].exec.batch().len() < self.cfg.max_batch
         {
             match self.try_admit(now, inst, q) {
                 Ok(()) => return,
                 Err(ready_at) => {
-                    if self.instances[i].exec.batch.is_empty() {
+                    if self.instances[i].exec.batch().is_empty() {
                         // Nothing else to run: stall until ready.
                         self.instances[i].exec.gpu_action = Some(Action::Sleep);
                         self.report.stall_secs += (ready_at - now).as_secs_f64();
-                        q.push(ready_at, Ev::GpuTick(inst));
+                        self.arm_tick(q, inst, ready_at);
                         return;
                     }
                     // Fall through to decode while the buffer drains.
                 }
             }
         }
-        if !self.instances[i].exec.batch.is_empty() {
-            let dur = self.instances[i]
-                .exec
-                .decode_iter_dur(&self.cfg, &self.jobs);
+        if !self.instances[i].exec.batch().is_empty() {
+            let dur = self.instances[i].exec.decode_iter_dur(&self.jobs);
             self.report
                 .record_decode_iter(dur.as_secs_f64(), Some(now.as_secs_f64()));
             self.instances[i].exec.gpu_action = Some(Action::Decode);
-            q.push(now + dur, Ev::GpuTick(inst));
+            self.arm_tick(q, inst, now + dur);
             return;
         }
         // Idle: a future TurnArrival will wake this instance.
@@ -1447,11 +1449,12 @@ impl<O: EngineObserver> World for ClusterSim<O> {
             Ev::Crash(inst) => self.on_crash(now, inst, q),
             Ev::Pressure(idx) => self.on_pressure(now, idx),
             Ev::SloTick => self.on_slo_tick(now, q),
-            Ev::GpuTick(inst) => {
+            Ev::GpuTick { inst, gen } => {
                 let i = inst as usize;
-                // Ticks scheduled before a crash landed: the instance is
-                // gone and its work was already re-routed.
-                if !self.instances[i].alive {
+                // Ticks armed before a crash or scale-down drained the
+                // instance: its work was already re-routed, and a revived
+                // instance's new action has a tick of its own.
+                if gen != self.instances[i].exec.tick_gen() {
                     return;
                 }
                 match self.instances[i].exec.gpu_action.take() {
@@ -1463,7 +1466,7 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                     }) => {
                         if chunks_left == 0 {
                             self.complete_prefill(now, inst, job);
-                        } else if self.instances[i].exec.batch.is_empty() {
+                        } else if self.instances[i].exec.batch().is_empty() {
                             // Nothing to piggyback: run the next slice.
                             self.issue_chunk(now, q, inst, job, chunks_left - 1, chunk_dur);
                             return;
@@ -1474,12 +1477,10 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                             sim::scope!("cluster.decode");
                             self.instances[i].exec.pending_chunk =
                                 Some((job, chunks_left, chunk_dur));
-                            let dur = self.instances[i]
-                                .exec
-                                .decode_iter_dur(&self.cfg, &self.jobs);
+                            let dur = self.instances[i].exec.decode_iter_dur(&self.jobs);
                             self.report.record_decode_iter(dur.as_secs_f64(), None);
                             self.instances[i].exec.gpu_action = Some(Action::Decode);
-                            q.push(now + dur, Ev::GpuTick(inst));
+                            self.arm_tick(q, inst, now + dur);
                             return;
                         }
                     }
@@ -1501,5 +1502,67 @@ impl<O: EngineObserver> World for ClusterSim<O> {
                 self.schedule_next(now, inst, q);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use models::ModelSpec;
+    use workload::{SessionSpec, TurnSpec};
+
+    fn one_turn(id: u64, user_tokens: u32) -> SessionSpec {
+        SessionSpec {
+            id,
+            arrival: Time::ZERO,
+            turns: vec![TurnSpec {
+                user_tokens,
+                resp_tokens: 4,
+                think: Dur::ZERO,
+                ttft_deadline: None,
+            }],
+            content: None,
+        }
+    }
+
+    /// A tick queued for an instance before a scale-down must not act on
+    /// the work the instance picks up after a revival: instance 1 is
+    /// drained mid-prefill, revived at once and handed a long prefill;
+    /// its old (short) prefill tick comes due first and must be ignored.
+    #[test]
+    fn stale_tick_does_not_complete_a_revived_instances_prefill() {
+        let engine = EngineConfig::paper(Mode::Recompute, ModelSpec::llama2_13b());
+        let trace = Trace::new(vec![one_turn(0, 2000), one_turn(1, 100), one_turn(2, 4000)]);
+        let mut sim = ClusterSim::new(
+            ClusterConfig::new(engine, 2, RouterKind::SessionAffinity),
+            trace,
+        );
+        let mut q = EventQueue::new();
+        sim.on_turn_arrival(Time::ZERO, 0, &mut q);
+        sim.on_turn_arrival(Time::ZERO, 1, &mut q);
+        // Both GPUs wake at 0 and start their prefills.
+        for _ in 0..2 {
+            let (now, ev) = q.pop().expect("wake-up tick");
+            sim.handle(now, ev, &mut q);
+        }
+        assert!(matches!(
+            sim.instances[1].exec.gpu_action,
+            Some(Action::Prefill { .. })
+        ));
+        sim.scale_down(Time::ZERO, &mut q);
+        sim.scale_up(Time::ZERO);
+        assert!(sim.instances[1].alive);
+        sim.on_turn_arrival(Time::ZERO, 2, &mut q);
+        let revived_job = sim.jobs.len() - 1;
+        assert_eq!(sim.jobs[revived_job].instance, 1);
+        sim::run(&mut sim, &mut q, None);
+        let job = &sim.jobs[revived_job];
+        let prefill = (job.decode_start - job.admitted_at).as_secs_f64();
+        assert!(
+            prefill >= job.prefill_secs,
+            "prefill of {}s completed after {prefill}s",
+            job.prefill_secs
+        );
+        assert_eq!(sim.sessions_remaining, 0);
     }
 }

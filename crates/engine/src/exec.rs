@@ -10,6 +10,7 @@
 //! returns durations and classifications, and the orchestrator does the
 //! bookkeeping.
 
+use models::DecodeCost;
 use sim::{Dur, Time};
 
 use crate::overlap::{no_preload, with_preload, PreloadParams};
@@ -207,8 +208,9 @@ pub fn prefill_timing(
 }
 
 /// The GPU's mutable execution state: current action, paused chunked
-/// prefill, and the continuous decode batch.
-#[derive(Debug, Default)]
+/// prefill, and the continuous decode batch with its running context
+/// total, so timing one decode iteration costs O(1).
+#[derive(Debug)]
 pub struct Executor {
     /// What the GPU runs until the pending tick (`None` = idle).
     pub gpu_action: Option<Action>,
@@ -216,36 +218,93 @@ pub struct Executor {
     /// (job, chunks left, chunk duration).
     pub pending_chunk: Option<(usize, u32, Dur)>,
     /// Jobs decoding together under continuous batching.
-    pub batch: Vec<usize>,
+    batch: Vec<usize>,
+    /// Σ `ctx_tokens` over `batch`.
+    batch_ctx: u64,
+    /// Generation of the pending tick: [`Executor::drain`] bumps it, so a
+    /// tick armed before a drain is recognisably stale.
+    tick_gen: u32,
+    decode: DecodeCost,
 }
 
 impl Executor {
-    /// Creates an idle executor with an empty batch.
-    pub fn new() -> Self {
-        Executor::default()
+    /// Creates an idle executor with an empty batch, timing decode
+    /// iterations for `cfg`'s model on `cfg`'s cluster.
+    pub fn new(cfg: &EngineConfig) -> Self {
+        Executor {
+            gpu_action: None,
+            pending_chunk: None,
+            batch: Vec::new(),
+            batch_ctx: 0,
+            tick_gen: 0,
+            decode: cfg.cost.decode_cost(&cfg.model, &cfg.cluster),
+        }
+    }
+
+    /// Jobs decoding together under continuous batching, in join order.
+    pub fn batch(&self) -> &[usize] {
+        &self.batch
+    }
+
+    /// Generation of the pending tick (see [`Executor::drain`]).
+    pub fn tick_gen(&self) -> u32 {
+        self.tick_gen
+    }
+
+    /// Adds `job`, whose live context is `ctx_tokens`, to the decode batch.
+    pub fn join_batch(&mut self, job: usize, ctx_tokens: u64) {
+        self.batch.push(job);
+        self.batch_ctx += ctx_tokens;
     }
 
     /// Duration of one decode iteration of the current batch.
-    pub fn decode_iter_dur(&self, cfg: &EngineConfig, jobs: &[Job]) -> Dur {
-        let total_ctx: u64 = self.batch.iter().map(|&j| jobs[j].ctx_tokens).sum();
-        cfg.cost
-            .decode_iter_time(&cfg.model, &cfg.cluster, self.batch.len() as u64, total_ctx)
+    pub fn decode_iter_dur(&self, jobs: &[Job]) -> Dur {
+        debug_assert_eq!(
+            self.batch_ctx,
+            self.batch.iter().map(|&j| jobs[j].ctx_tokens).sum::<u64>(),
+            "running batch context diverged from the batch"
+        );
+        self.decode
+            .iter_time(self.batch.len() as u64, self.batch_ctx)
     }
 
     /// Advances every batched job by one decoded token; removes and
     /// returns the jobs that just finished, in batch order.
     pub fn advance_decode(&mut self, jobs: &mut [Job]) -> Vec<usize> {
         let mut finished = Vec::new();
+        self.batch_ctx += self.batch.len() as u64;
         for &j in &self.batch {
             let job = &mut jobs[j];
             job.ctx_tokens += 1;
             job.remaining_decode -= 1;
             if job.remaining_decode == 0 {
                 finished.push(j);
+                self.batch_ctx -= job.ctx_tokens;
             }
         }
         self.batch.retain(|j| !finished.contains(j));
         finished
+    }
+
+    /// Empties the executor of a departing instance: returns the jobs it
+    /// held, each once — the decode batch, then a paused chunked prefill,
+    /// then the in-flight prefill — and bumps the tick generation so the
+    /// tick still queued for the old action is ignored.
+    pub fn drain(&mut self) -> Vec<usize> {
+        let mut held = std::mem::take(&mut self.batch);
+        self.batch_ctx = 0;
+        self.tick_gen = self.tick_gen.wrapping_add(1);
+        let paused = self.pending_chunk.take().map(|(job, _, _)| job);
+        let running = match self.gpu_action.take() {
+            Some(Action::Prefill { job }) | Some(Action::PrefillChunk { job, .. }) => Some(job),
+            _ => None,
+        };
+        for job in paused.into_iter().chain(running) {
+            if !held.contains(&job) {
+                held.push(job);
+            }
+        }
+        held
     }
 }
 
@@ -299,18 +358,72 @@ mod tests {
         }
     }
 
+    fn executor() -> Executor {
+        Executor::new(&EngineConfig::paper(
+            crate::Mode::CachedAttention,
+            models::ModelSpec::llama2_13b(),
+        ))
+    }
+
+    fn ctx_sum(ex: &Executor, jobs: &[Job]) -> u64 {
+        ex.batch().iter().map(|&j| jobs[j].ctx_tokens).sum()
+    }
+
     #[test]
     fn advance_decode_retires_in_batch_order() {
         let mut jobs = vec![job(1), job(2), job(1)];
-        let mut ex = Executor::new();
-        ex.batch = vec![0, 1, 2];
+        let mut ex = executor();
+        for (j, job) in jobs.iter().enumerate() {
+            ex.join_batch(j, job.ctx_tokens);
+        }
         let finished = ex.advance_decode(&mut jobs);
         assert_eq!(finished, vec![0, 2]);
-        assert_eq!(ex.batch, vec![1]);
+        assert_eq!(ex.batch(), &[1]);
         assert_eq!(jobs[0].ctx_tokens, 11);
         assert_eq!(jobs[1].remaining_decode, 1);
         let finished = ex.advance_decode(&mut jobs);
         assert_eq!(finished, vec![1]);
-        assert!(ex.batch.is_empty());
+        assert!(ex.batch().is_empty());
+    }
+
+    /// The running context total tracks Σ ctx_tokens through joins,
+    /// decode steps with retirements, and a drain, and the iteration
+    /// time equals the one-shot cost model on the summed batch.
+    #[test]
+    fn running_ctx_matches_the_batch_sum() {
+        let cfg = EngineConfig::paper(
+            crate::Mode::CachedAttention,
+            models::ModelSpec::llama2_13b(),
+        );
+        let mut jobs: Vec<Job> = (1..=6).map(job).collect();
+        let mut ex = Executor::new(&cfg);
+        for (j, extra) in [(0, 0), (1, 500), (2, 37), (3, 4096)] {
+            jobs[j].ctx_tokens += extra;
+            ex.join_batch(j, jobs[j].ctx_tokens);
+        }
+        for step in 0..3 {
+            let want = cfg.cost.decode_iter_time(
+                &cfg.model,
+                &cfg.cluster,
+                ex.batch().len() as u64,
+                ctx_sum(&ex, &jobs),
+            );
+            assert_eq!(ex.decode_iter_dur(&jobs), want);
+            let finished = ex.advance_decode(&mut jobs);
+            assert_eq!(finished, vec![step]);
+            assert_eq!(ex.batch_ctx, ctx_sum(&ex, &jobs));
+            if step == 1 {
+                ex.join_batch(4, jobs[4].ctx_tokens);
+                assert_eq!(ex.batch_ctx, ctx_sum(&ex, &jobs));
+            }
+        }
+        ex.pending_chunk = Some((5, 2, Dur::from_millis(1)));
+        ex.gpu_action = Some(Action::Decode);
+        let gen = ex.tick_gen();
+        assert_eq!(ex.drain(), vec![3, 4, 5]);
+        assert_eq!(ex.batch_ctx, 0);
+        assert_eq!(ex.tick_gen(), gen.wrapping_add(1));
+        assert!(ex.gpu_action.is_none() && ex.pending_chunk.is_none());
+        assert_eq!(ex.decode_iter_dur(&jobs), Dur::ZERO);
     }
 }

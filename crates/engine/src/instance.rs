@@ -63,7 +63,7 @@ impl EngineInstance {
         EngineInstance {
             id,
             sched,
-            exec: Executor::new(),
+            exec: Executor::new(cfg),
             plan: TransferPlan::new(cfg),
             hbm: HbmLedger::new(&cfg.cluster, &cfg.model),
             turns_done: 0,
@@ -155,7 +155,7 @@ mod tests {
         let inst = EngineInstance::new(3, &cfg);
         assert_eq!(inst.id, 3);
         assert!(inst.sched.is_empty());
-        assert!(inst.exec.batch.is_empty());
+        assert!(inst.exec.batch().is_empty());
         let r = inst.report();
         assert_eq!(r.instance, 3);
         assert_eq!(r.turns_done, 0);

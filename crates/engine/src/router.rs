@@ -103,7 +103,7 @@ fn least_loaded_index(loads: &[InstanceLoad]) -> usize {
 /// the session's KV traffic on one instance's links.
 #[derive(Debug, Default)]
 pub struct SessionAffinity {
-    assigned: std::collections::HashMap<u64, usize>,
+    assigned: sim::hash::FxHashMap<u64, usize>,
 }
 
 impl SessionAffinity {

@@ -23,8 +23,7 @@
 //! write-buffer drain ([`TransferPlan::write_gate`]), and classifies
 //! store consultations ([`TransferPlan::consult`]).
 
-use std::collections::HashMap;
-
+use sim::hash::FxHashMap;
 use sim::{BandwidthLink, Dur, FaultPlan, Time};
 use store::{AttentionStore, DegradeReason, Lookup, QueueView, SessionId, TierId, Transfer};
 
@@ -79,7 +78,7 @@ pub struct TransferPlan {
     /// and tier `b+1` of the store's stack.
     slow: Vec<SlowBoundary>,
     /// When each session's KV finishes staging into the fast tier.
-    fast_ready_at: HashMap<u64, Time>,
+    fast_ready_at: FxHashMap<u64, Time>,
     async_save: bool,
     write_buffer_bytes: u64,
 }
@@ -123,7 +122,7 @@ impl TransferPlan {
             h2d: BandwidthLink::new("h2d", pcie),
             d2h: BandwidthLink::new("d2h", pcie),
             slow,
-            fast_ready_at: HashMap::new(),
+            fast_ready_at: FxHashMap::default(),
             async_save: cfg.async_save,
             write_buffer_bytes: cfg.write_buffer_bytes,
         }
@@ -168,7 +167,7 @@ impl TransferPlan {
     /// session's fast-tier staging time.
     pub fn charge(&mut self, now: Time, transfers: &[Transfer]) {
         // Per-call chain: when the deeper hop of this session delivered.
-        let mut chained: HashMap<u64, Time> = HashMap::new();
+        let mut chained: FxHashMap<u64, Time> = FxHashMap::default();
         for t in transfers {
             if t.is_promotion() {
                 let start = chained.get(&t.session.0).copied().unwrap_or(now);

@@ -66,14 +66,25 @@ impl TimeSeries {
             self.add(start_secs, amount);
             return;
         }
-        let rate = amount / dur_secs;
+        // A span carrying its own length (busy seconds over a busy
+        // interval) has rate exactly 1.0, so each chunk adds its width.
+        let rate = (amount != dur_secs).then(|| amount / dur_secs);
         let mut t = start_secs.max(0.0);
         let end = start_secs + dur_secs;
+        // Each chunk after the first starts on the boundary of the next
+        // bucket. Stepping the index (instead of re-deriving it from
+        // `t / bucket_secs`, which can round to the bucket just left and
+        // stall) makes every chunk advance.
+        let mut idx = (t / self.bucket_secs) as usize;
         while t < end {
-            let bucket_end = (((t / self.bucket_secs) as usize + 1) as f64) * self.bucket_secs;
-            let chunk_end = bucket_end.min(end);
-            self.add(t, (chunk_end - t) * rate);
+            let chunk_end = (((idx + 1) as f64) * self.bucket_secs).min(end);
+            if idx >= self.buckets.len() {
+                self.buckets.resize(idx + 1, 0.0);
+            }
+            let width = chunk_end - t;
+            self.buckets[idx] += rate.map_or(width, |r| width * r);
             t = chunk_end;
+            idx += 1;
         }
     }
 
@@ -153,6 +164,62 @@ mod tests {
         assert!((b[2] - 2.0).abs() < 1e-9);
         assert!((b[3] - 1.0).abs() < 1e-9);
         assert!((ts.total() - 6.0).abs() < 1e-9);
+    }
+
+    /// The pre-optimisation span loop, kept as the oracle.
+    fn add_span_general(ts: &mut TimeSeries, start_secs: f64, dur_secs: f64, amount: f64) {
+        let rate = amount / dur_secs;
+        let mut t = start_secs.max(0.0);
+        let end = start_secs + dur_secs;
+        while t < end {
+            let bucket_end = (((t / ts.bucket_secs) as usize + 1) as f64) * ts.bucket_secs;
+            let chunk_end = bucket_end.min(end);
+            ts.add(t, (chunk_end - t) * rate);
+            t = chunk_end;
+        }
+    }
+
+    #[test]
+    fn self_rate_span_is_bit_identical_to_the_general_loop() {
+        // Widths whose boundaries divide back exactly: the general loop
+        // stalls on the others (see the next test).
+        for width in [1.0, 0.25, 60.0] {
+            let mut fast = TimeSeries::new(width);
+            let mut slow = TimeSeries::new(width);
+            let mut t = 0.0;
+            for i in 0..2_000u32 {
+                // Durations from sub-bucket to several buckets long, so
+                // spans start, end and straddle boundaries everywhere.
+                let d = 0.013 * f64::from(i % 97) + 1e-4 + width * f64::from(i % 5) / 3.0;
+                fast.add_span(t, d, d);
+                add_span_general(&mut slow, t, d, d);
+                // Spans with a foreign amount keep the general rate.
+                fast.add_span(t, d, 0.5 * d);
+                add_span_general(&mut slow, t, d, 0.5 * d);
+                t += d * 0.75;
+            }
+            assert_eq!(fast.len(), slow.len());
+            for (a, b) in fast.buckets().iter().zip(slow.buckets()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
+    }
+
+    /// With a width like 0.37, `(k * w) / w` can round just below `k`,
+    /// which sent the old loop back to the bucket it had just filled with
+    /// a zero-width chunk, forever.
+    #[test]
+    fn spans_over_inexact_boundaries_terminate_and_conserve() {
+        let w = 0.37;
+        assert!(
+            (1..10_000usize).any(|k| (((k as f64) * w) / w) < k as f64),
+            "no inexact boundary below 10k buckets"
+        );
+        let mut ts = TimeSeries::new(w);
+        ts.add_span(0.0, 10_000.0 * w, 10_000.0 * w);
+        assert_eq!(ts.len(), 10_000);
+        assert!((ts.total() - 10_000.0 * w).abs() < 1e-6);
+        assert!(ts.buckets().iter().all(|&b| (b - w).abs() < 1e-9));
     }
 
     #[test]

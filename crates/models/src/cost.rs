@@ -113,14 +113,22 @@ impl CostModel {
         batch: u64,
         total_ctx_tokens: u64,
     ) -> Dur {
-        if batch == 0 {
-            return Dur::ZERO;
-        }
+        self.decode_cost(m, c).iter_time(batch, total_ctx_tokens)
+    }
+
+    /// The terms of [`CostModel::decode_iter_time`] that depend only on
+    /// the model and the cluster, computed once for a serving engine that
+    /// times millions of decode iterations.
+    pub fn decode_cost(&self, m: &ModelSpec, c: &ClusterSpec) -> DecodeCost {
         let bw = c.total_hbm_bw() * self.decode_mbu;
-        let weights = m.weight_bytes() as f64 / bw;
-        let kv = (total_ctx_tokens * m.kv_bytes_per_token()) as f64 / bw;
-        let flops = 2.0 * m.n_params as f64 * batch as f64 / (c.total_flops() * self.prefill_mfu);
-        Dur::from_secs_f64(weights + kv + flops) + self.iter_overhead
+        DecodeCost {
+            bw,
+            weights_secs: m.weight_bytes() as f64 / bw,
+            kv_bytes_per_token: m.kv_bytes_per_token(),
+            two_params: 2.0 * m.n_params as f64,
+            flops_rate: c.total_flops() * self.prefill_mfu,
+            iter_overhead: self.iter_overhead,
+        }
     }
 
     /// Average KV cache generation rate during a prefill, bytes/s.
@@ -137,6 +145,32 @@ impl CostModel {
     /// Time to move `bytes` of KV over PCIe in one direction.
     pub fn pcie_time(&self, c: &ClusterSpec, bytes: u64) -> Dur {
         Dur::from_secs_f64(bytes as f64 / c.pcie_bw)
+    }
+}
+
+/// One model-on-cluster decode timing, with the config-only terms of
+/// [`CostModel::decode_iter_time`] folded in ([`CostModel::decode_cost`]).
+#[derive(Debug, Clone, Copy)]
+pub struct DecodeCost {
+    bw: f64,
+    weights_secs: f64,
+    kv_bytes_per_token: u64,
+    two_params: f64,
+    flops_rate: f64,
+    iter_overhead: Dur,
+}
+
+impl DecodeCost {
+    /// Wall-clock time of one decode iteration of `batch` sequences
+    /// holding `total_ctx_tokens` live tokens; bit-identical to
+    /// [`CostModel::decode_iter_time`].
+    pub fn iter_time(&self, batch: u64, total_ctx_tokens: u64) -> Dur {
+        if batch == 0 {
+            return Dur::ZERO;
+        }
+        let kv = (total_ctx_tokens * self.kv_bytes_per_token) as f64 / self.bw;
+        let flops = self.two_params * batch as f64 / self.flops_rate;
+        Dur::from_secs_f64(self.weights_secs + kv + flops) + self.iter_overhead
     }
 }
 
@@ -214,6 +248,20 @@ mod tests {
     }
 
     proptest! {
+        /// The precomputed decode terms combine in the order of the
+        /// one-shot formula, so every iteration time is bit-identical.
+        #[test]
+        fn decode_cost_matches_the_one_shot_formula(batch in 1u64..256, ctx in 0u64..2_000_000) {
+            for (m, c, cm) in [anchor(), (ModelSpec::llama2_13b(), ClusterSpec::paper_testbed(), CostModel::paper_system())] {
+                let bw = c.total_hbm_bw() * cm.decode_mbu;
+                let weights = m.weight_bytes() as f64 / bw;
+                let kv = (ctx * m.kv_bytes_per_token()) as f64 / bw;
+                let flops = 2.0 * m.n_params as f64 * batch as f64 / (c.total_flops() * cm.prefill_mfu);
+                let want = Dur::from_secs_f64(weights + kv + flops) + cm.iter_overhead;
+                prop_assert_eq!(cm.decode_cost(&m, &c).iter_time(batch, ctx), want);
+            }
+        }
+
         /// Prefill time is monotone in both new and past token counts.
         #[test]
         fn prefill_monotone(new in 1u64..4096, past in 0u64..8192, extra in 1u64..512) {

@@ -14,6 +14,8 @@
 //!   disk tiers.
 //! - [`SimRng`]: a seeded random source with the distributions the workload
 //!   generator needs (exponential, log-normal, Zipf, categorical).
+//! - [`hash::FxHashMap`]: hash maps under a fast deterministic hasher for
+//!   the integer keys the simulator makes itself.
 //!
 //! All randomness flows from a single `u64` seed and event ordering is
 //! total (time, insertion sequence), so simulations are bit-reproducible.
@@ -46,6 +48,7 @@
 //! ```
 
 pub mod fault;
+pub mod hash;
 mod link;
 mod pool;
 pub mod profiler;

@@ -3,6 +3,13 @@
 //! Events are dispatched in increasing time order; events at the same
 //! instant fire in insertion order. The total (time, sequence) key makes
 //! simulations deterministic regardless of heap internals.
+//!
+//! Beside the heap the queue keeps single-slot *lanes*: a caller that
+//! re-arms one pending event per key over and over (a GPU's next tick)
+//! parks it in its lane instead of paying a heap push and pop over every
+//! other pending event. Lane entries draw their sequence number from the
+//! same counter as heap entries and `pop` takes the smallest `(time,
+//! seq)` across both, so lanes never change the dispatch order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -39,6 +46,11 @@ impl<Ev> Ord for Entry<Ev> {
 /// A priority queue of timed events with deterministic tie-breaking.
 pub struct EventQueue<Ev> {
     heap: BinaryHeap<Reverse<Entry<Ev>>>,
+    /// At most one pending event per lane key.
+    lanes: Vec<Option<Entry<Ev>>>,
+    /// The occupied lane holding the smallest `(at, seq)`, if any.
+    lane_head: Option<usize>,
+    lanes_occupied: usize,
     next_seq: u64,
     pushed_total: u64,
 }
@@ -48,37 +60,99 @@ impl<Ev> EventQueue<Ev> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
+            lanes: Vec::new(),
+            lane_head: None,
+            lanes_occupied: 0,
             next_seq: 0,
             pushed_total: 0,
         }
     }
 
-    /// Schedules `ev` to fire at instant `at`.
-    pub fn push(&mut self, at: Time, ev: Ev) {
+    fn entry(&mut self, at: Time, ev: Ev) -> Entry<Ev> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed_total += 1;
-        self.heap.push(Reverse(Entry { at, seq, ev }));
+        Entry { at, seq, ev }
+    }
+
+    /// Schedules `ev` to fire at instant `at`.
+    pub fn push(&mut self, at: Time, ev: Ev) {
+        let e = self.entry(at, ev);
+        self.heap.push(Reverse(e));
+    }
+
+    /// Schedules `ev` to fire at instant `at` in the single slot of
+    /// `lane`. When the lane already holds an event, `ev` goes to the
+    /// heap instead; either way it fires in the same `(time, insertion)`
+    /// order as a plain [`push`](EventQueue::push).
+    pub fn push_lane(&mut self, lane: usize, at: Time, ev: Ev) {
+        let e = self.entry(at, ev);
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, || None);
+        }
+        if self.lanes[lane].is_some() {
+            self.heap.push(Reverse(e));
+            return;
+        }
+        if self
+            .lane_head
+            .is_none_or(|h| self.lanes[h].as_ref().is_some_and(|x| e < *x))
+        {
+            self.lane_head = Some(lane);
+        }
+        self.lanes[lane] = Some(e);
+        self.lanes_occupied += 1;
+    }
+
+    /// Whether the earliest pending event sits in a lane (`false` when
+    /// the heap's top is earlier or no lane is occupied).
+    fn lane_first(&self) -> bool {
+        match (self.lane_head, self.heap.peek()) {
+            (None, _) => false,
+            (Some(_), None) => true,
+            (Some(h), Some(Reverse(top))) => self.lanes[h].as_ref().is_some_and(|x| x < top),
+        }
     }
 
     /// Removes and returns the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, Ev)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.ev))
+        if !self.lane_first() {
+            return self.heap.pop().map(|Reverse(e)| (e.at, e.ev));
+        }
+        let h = self.lane_head.expect("lane_first implies an occupied lane");
+        let e = self.lanes[h]
+            .take()
+            .expect("lane_head points at an occupied lane");
+        self.lanes_occupied -= 1;
+        self.lane_head = self
+            .lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| l.as_ref().map(|x| (x, i)))
+            .min_by(|a, b| a.0.cmp(b.0))
+            .map(|(_, i)| i);
+        Some((e.at, e.ev))
     }
 
     /// Returns the time of the earliest pending event without removing it.
     pub fn peek_time(&self) -> Option<&Time> {
-        self.heap.peek().map(|Reverse(e)| &e.at)
+        if self.lane_first() {
+            self.lane_head
+                .and_then(|h| self.lanes[h].as_ref())
+                .map(|e| &e.at)
+        } else {
+            self.heap.peek().map(|Reverse(e)| &e.at)
+        }
     }
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes_occupied
     }
 
     /// Returns `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Returns the total number of events ever scheduled.
@@ -226,7 +300,65 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// One step against the queue: a heap push, a lane push or a pop.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Push(u64),
+            PushLane(usize, u64),
+            Pop,
+        }
+
+        fn op() -> impl Strategy<Value = Op> {
+            prop_oneof![
+                (0u64..50).prop_map(Op::Push),
+                (0usize..4, 0u64..50).prop_map(|(l, t)| Op::PushLane(l, t)),
+                Just(Op::Pop),
+            ]
+        }
+
         proptest! {
+            /// Lanes are invisible in the dispatch order: any mix of
+            /// heap pushes, lane pushes (occupied lanes included) and
+            /// pops matches one plain heap keyed by (time, insertion).
+            #[test]
+            fn lanes_match_a_plain_heap(
+                ops in proptest::collection::vec(op(), 1..120),
+            ) {
+                let mut q = EventQueue::new();
+                let mut reference = BinaryHeap::new();
+                let mut pushed = 0u64;
+                let check = |q: &EventQueue<u64>, r: &BinaryHeap<Reverse<(Time, u64)>>, pushed| {
+                    prop_assert_eq!(q.peek_time(), r.peek().map(|Reverse((t, _))| t));
+                    prop_assert_eq!(q.len(), r.len());
+                    prop_assert_eq!(q.is_empty(), r.is_empty());
+                    prop_assert_eq!(q.pushed_total(), pushed);
+                    Ok(())
+                };
+                for op in ops {
+                    match op {
+                        Op::Push(t) => {
+                            q.push(Time::from_nanos(t), pushed);
+                            reference.push(Reverse((Time::from_nanos(t), pushed)));
+                            pushed += 1;
+                        }
+                        Op::PushLane(lane, t) => {
+                            q.push_lane(lane, Time::from_nanos(t), pushed);
+                            reference.push(Reverse((Time::from_nanos(t), pushed)));
+                            pushed += 1;
+                        }
+                        Op::Pop => {
+                            prop_assert_eq!(q.pop(), reference.pop().map(|Reverse(x)| x));
+                        }
+                    }
+                    check(&q, &reference, pushed)?;
+                }
+                while let Some(Reverse(want)) = reference.pop() {
+                    prop_assert_eq!(q.pop(), Some(want));
+                    check(&q, &reference, pushed)?;
+                }
+                prop_assert!(q.pop().is_none());
+            }
+
             /// Pops come out sorted by (time, insertion order) for any
             /// push sequence.
             #[test]
@@ -249,6 +381,20 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn occupied_lane_falls_back_to_the_heap_in_order() {
+        let mut q = EventQueue::new();
+        q.push_lane(1, Time::from_nanos(20), "lane");
+        q.push_lane(1, Time::from_nanos(10), "fallback");
+        q.push(Time::from_nanos(20), "heap");
+        q.push_lane(0, Time::from_nanos(20), "lane0");
+        assert_eq!(q.len(), 4);
+        assert_eq!(q.peek_time(), Some(&Time::from_nanos(10)));
+        let order: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, ["fallback", "lane", "heap", "lane0"]);
+        assert!(q.is_empty());
     }
 
     #[test]

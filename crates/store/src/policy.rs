@@ -1,6 +1,6 @@
 //! Eviction policies: scheduler-aware (the paper's), LRU and FIFO.
 
-use std::collections::HashMap;
+use sim::hash::FxHashMap;
 
 use crate::{Entry, SessionId};
 
@@ -15,8 +15,8 @@ use crate::{Entry, SessionId};
 /// store can attribute tier transfers per instance.
 pub struct QueueView {
     order: Vec<SessionId>,
-    pos: HashMap<SessionId, usize>,
-    owner: HashMap<SessionId, u32>,
+    pos: FxHashMap<SessionId, usize>,
+    owner: FxHashMap<SessionId, u32>,
 }
 
 impl Default for QueueView {
@@ -29,14 +29,14 @@ impl QueueView {
     /// Builds a view from the queue's session order (head first). When a
     /// session appears more than once, its earliest position wins.
     pub fn new(order: &[SessionId]) -> Self {
-        let mut pos = HashMap::with_capacity(order.len());
+        let mut pos = FxHashMap::with_capacity_and_hasher(order.len(), Default::default());
         for (i, &sid) in order.iter().enumerate() {
             pos.entry(sid).or_insert(i);
         }
         QueueView {
             order: order.to_vec(),
             pos,
-            owner: HashMap::new(),
+            owner: FxHashMap::default(),
         }
     }
 

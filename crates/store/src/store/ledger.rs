@@ -16,6 +16,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use sim::hash::FxHashMap;
 use sim::Time;
 
 use super::order::{Place, TierOrder};
@@ -74,7 +75,7 @@ pub(super) struct BlockLedger {
     nodes: Vec<Option<ChunkNode>>,
     free_slots: Vec<usize>,
     /// chain hash → slot: the prefix trie.
-    by_hash: HashMap<u64, usize>,
+    by_hash: FxHashMap<u64, usize>,
     sessions: BTreeMap<SessionId, SessionRef>,
     /// Sum of `bytes` over `sessions`.
     session_bytes: u64,
@@ -100,7 +101,7 @@ impl BlockLedger {
         BlockLedger {
             nodes: Vec::new(),
             free_slots: Vec::new(),
-            by_hash: HashMap::new(),
+            by_hash: FxHashMap::default(),
             sessions: BTreeMap::new(),
             session_bytes: 0,
             keys: BTreeMap::new(),

@@ -25,9 +25,9 @@
 //!   equivalent of per-session eviction, reported with the same
 //!   `evicted` event).
 
-use std::collections::HashSet;
 use std::rc::Rc;
 
+use sim::hash::FxHashSet;
 use sim::Time;
 
 use crate::chain::{ContentKey, DedupStats};
@@ -45,7 +45,7 @@ use super::{AttentionStore, LoadOutcome, Lookup, Transfer};
 pub(super) struct WorkingSet<'q> {
     queue: &'q QueueView,
     /// `(window, ledger epoch, slots)`.
-    queued: Vec<(usize, u64, Rc<HashSet<usize>>)>,
+    queued: Vec<(usize, u64, Rc<FxHashSet<usize>>)>,
 }
 
 impl<'q> WorkingSet<'q> {
@@ -191,7 +191,7 @@ impl AttentionStore {
         sid: SessionId,
         pos: usize,
         queue: &QueueView,
-        queued: &HashSet<usize>,
+        queued: &FxHashSet<usize>,
         chain: &[usize],
     ) -> Option<usize> {
         self.shared.lru(TierId(0)).find(|&s| {
@@ -854,12 +854,12 @@ impl AttentionStore {
     ///
     /// Built once per store call and window length, and again only after
     /// the ledger's structure (trie, chains, keys) changed.
-    pub(super) fn ca_queued_slots(&self, ws: &mut WorkingSet, upto: usize) -> Rc<HashSet<usize>> {
+    pub(super) fn ca_queued_slots(&self, ws: &mut WorkingSet, upto: usize) -> Rc<FxHashSet<usize>> {
         let epoch = self.shared.epoch();
         if let Some((_, _, slots)) = ws.queued.iter().find(|q| (q.0, q.1) == (upto, epoch)) {
             return Rc::clone(slots);
         }
-        let mut slots = HashSet::new();
+        let mut slots = FxHashSet::default();
         for sid in ws.queue.head(upto) {
             if let Some(r) = self.shared.session(sid) {
                 slots.extend(r.chain.iter().copied());
